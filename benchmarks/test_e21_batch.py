@@ -12,9 +12,8 @@ whole-program compiled fast path, while staying **byte-identical** to
 the interpreter: verdicts, fields, metadata, digests, op counts, map
 state, and table counters (``batched_differential`` = 0 divergences).
 
-The per-flow closure tier (whole program, stateful ``flow_counts``) is
-reported as a secondary row for coverage — it is a correctness-breadth
-tier, not a throughput tier, so it carries no speedup gate.
+The whole stateful base program (``flow_counts``) runs the per-packet
+fallback; its differential is part of the 0-divergence gate.
 
 The run writes ``BENCH_e21.json`` at the repo root (CI's bench-smoke
 reads it) in addition to the bench_tables.txt row.
@@ -86,7 +85,7 @@ def run_experiment() -> dict:
         setup=realistic_rules,
         batch_size=BATCH_SIZE,
     )
-    # ... and the closure tier on the whole stateful base program.
+    # ... and the per-packet fallback on the whole stateful base program.
     diff_base = batched_differential(
         base_infrastructure(), packets, batch_size=BATCH_SIZE
     )
@@ -115,16 +114,6 @@ def run_experiment() -> dict:
     executor = batched.batch_executor()
     admission = executor.admission()
 
-    # -- secondary: closure tier on the whole stateful program -----------
-    closure = ProgramInstance(base_infrastructure())
-    closure.enable_batching()
-    closure_scalar = ProgramInstance(base_infrastructure())
-    closure_scalar.enable_fastpath()
-    _bench_batched(closure, packets[:500])
-    _bench_scalar(closure_scalar, packets[:500])
-    closure_pps = max(_bench_batched(closure, packets) for _ in range(2))
-    closure_scalar_pps = max(_bench_scalar(closure_scalar, packets) for _ in range(2))
-
     return {
         "packets": len(packets),
         "batch_size": BATCH_SIZE,
@@ -135,9 +124,6 @@ def run_experiment() -> dict:
         "batched_pps": batched_pps,
         "speedup_vs_compiled": batched_pps / compiled_pps,
         "speedup_vs_sliced": batched_pps / sliced_pps,
-        "closure_batched_pps": closure_pps,
-        "closure_compiled_pps": closure_scalar_pps,
-        "closure_ratio": closure_pps / closure_scalar_pps,
         "batch_stats": executor.stats.to_dict(),
     }
 
@@ -168,12 +154,6 @@ def test_e21_batch(benchmark):
                 fmt(results["batched_pps"], 4),
                 f"{results['speedup_vs_compiled']:.2f}x",
                 f"memo hits {stats['memo_hits']}",
-            ],
-            [
-                "FlexBatch closure tier (stateful base)",
-                fmt(results["closure_batched_pps"], 4),
-                f"{results['closure_ratio']:.2f}x of its scalar path",
-                "",
             ],
         ],
     )

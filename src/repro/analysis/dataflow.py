@@ -213,9 +213,6 @@ class DataflowInfo:
     def readers_of_field(self, ref: ir.FieldRef) -> frozenset[str]:
         return frozenset(n for n, a in self._applied_items() if ref in a.field_reads)
 
-    def writers_of_field(self, ref: ir.FieldRef) -> frozenset[str]:
-        return frozenset(n for n, a in self._applied_items() if ref in a.field_writes)
-
     @property
     def program_access(self) -> AccessSet:
         """Union access set over everything reachable from apply."""

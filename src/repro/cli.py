@@ -322,6 +322,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The stateless hosted slice ``bench --batch`` runs the default
+#: program on: every element that writes no map, so the memo tier
+#: admits it (E21 gates the same slice).
+BENCH_BATCH_SLICE = ("acl", "fw_block", "l2", "l3", "ttl_guard")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark the data-plane executor on one program: interpreted
     packets/second, and with ``--fastpath`` the FlexPath compiled rate
@@ -334,21 +340,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.simulator import fastpath
     from repro.simulator.pipeline_exec import ProgramInstance
 
+    hosted = None
     if args.program:
         program = parse_program(_read(args.program))
-    elif args.batch:
-        # The default bench program (base + firewall) is deliberately
-        # NOT batch-safe (the firewall is cross-flow); --batch defaults
-        # to the batch-safe base program so the verb exercises the
-        # batched tiers rather than the fallback.
-        from repro.apps import base_infrastructure
-
-        program = base_infrastructure()
     else:
         from repro.apps import base_infrastructure, firewall_delta
 
         base, _ = apply_delta(base_infrastructure(), firewall_delta())
         program = base
+        if args.batch:
+            # The whole program writes maps, which the memo tier cannot
+            # replay; --batch defaults to its stateless slice (E21's) so
+            # the verb runs batched code rather than the fallback.
+            hosted = set(BENCH_BATCH_SLICE)
 
     packets = fastpath.seeded_corpus(args.packets, seed=args.seed)
 
@@ -356,7 +360,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         fastpath.seeded_rules(program, instance, seed=args.seed)
 
     def measure(enable: bool) -> float:
-        instance = ProgramInstance(program)
+        instance = ProgramInstance(program, hosted)
         setup(instance)
         if enable:
             instance.enable_fastpath()
@@ -371,10 +375,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     interp_pps = measure(False)
     results = {"program": program.name, "packets": len(packets),
+               "hosted": sorted(hosted) if hosted is not None else None,
                "interpreted_pps": interp_pps}
     divergences = []
     if args.fastpath or args.batch:
-        report = fastpath.differential_check(program, packets, setup=setup)
+        report = fastpath.differential_check(
+            program, packets, hosted_elements=hosted, setup=setup
+        )
         divergences = list(report.divergences)
         compiled_pps = measure(True)
         results["compiled_pps"] = compiled_pps
@@ -384,10 +391,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         from repro.simulator.batch import PacketBatch, batched_differential
 
         batch_report = batched_differential(
-            program, packets, setup=setup, batch_size=args.batch_size
+            program,
+            packets,
+            hosted_elements=hosted,
+            setup=setup,
+            batch_size=args.batch_size,
         )
         divergences.extend(batch_report.divergences)
-        instance = ProgramInstance(program)
+        instance = ProgramInstance(program, hosted)
         setup(instance)
         instance.enable_batching()
         instance.process_batch([copy.deepcopy(packets[0])])  # warm up
@@ -412,6 +423,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(json_module.dumps(results, indent=2))
     else:
         print(f"program     : {program.name!r} ({len(packets)} packets)")
+        if hosted is not None:
+            print(f"hosted slice: {', '.join(sorted(hosted))}")
         print(f"interpreted : {interp_pps:,.0f} pps")
         if args.fastpath or args.batch:
             print(f"compiled    : {results['compiled_pps']:,.0f} pps "
@@ -730,8 +743,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         return net, workload
 
     net, workload = fresh_arm()
-    if args.batch:
-        net.engine(batch=True)
     report = run_sharded(
         net,
         workload,
@@ -743,11 +754,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
     divergences = None
     if args.differential:
         ref_net, ref_workload = fresh_arm()
-        if args.batch:
-            # Batch the reference arm too: per-packet bit-exactness makes
-            # the comparison check sharding, not batching — and E21's
-            # differential gate already pins batched == interpreter.
-            ref_net.engine(batch=True)
         reference = reference_run(ref_net, ref_workload, drain_s=args.drain)
         identical = json_module.dumps(
             reference.to_dict(), sort_keys=True
@@ -965,7 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="also run FlexPath compiled and diff the outcomes")
     bench_parser.add_argument("--batch", action="store_true",
                               help="also run the FlexBatch batched backend and diff "
-                                   "the outcomes (default program: batch-safe base)")
+                                   "the outcomes (default: the base + firewall "
+                                   "program's stateless slice)")
     bench_parser.add_argument("--batch-size", type=int, default=64)
     bench_parser.add_argument("--packets", type=int, default=2000)
     bench_parser.add_argument("--seed", type=int, default=2024)
@@ -1100,9 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale_parser.add_argument("--differential", action="store_true",
                               help="byte-compare against the single-process "
                                    "engine (exit 1 on divergence)")
-    scale_parser.add_argument("--batch", action="store_true",
-                              help="enable FlexBatch on the devices (both arms "
-                                   "under --differential)")
     scale_parser.set_defaults(func=cmd_scale)
 
     cloud_parser = subparsers.add_parser(

@@ -244,13 +244,6 @@ class P4RuntimeClient:
             MeterConfig(rate_pps=rate_pps, burst_packets=burst_packets)
         )
 
-    def clear_meter(self, table: str) -> None:
-        instance = self._instance()
-        if table not in instance.rules:
-            raise ControlPlaneError(f"no table {table!r}")
-        self._write()
-        instance.rules[table].meter = None
-
     def read_meter(self, table: str) -> tuple[int, int]:
         """(green_count, red_count) for a table's meter."""
         instance = self._instance()

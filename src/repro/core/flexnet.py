@@ -23,7 +23,6 @@ composer. Rejections raise before any device is touched.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -43,7 +42,6 @@ from repro.runtime.consistency import ConsistencyChecker, ConsistencyLevel
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.flowgen import TimedPacket, constant_rate
 from repro.targets import drmt_switch, fpga, host, rmt_switch, smartnic, tiled_switch
-from repro.targets.base import Target
 
 from repro.core.datapath import FungibleDatapath
 from repro.core.slo import Slo
@@ -101,8 +99,7 @@ class InstallOutcome:
 
 @dataclass
 class TelemetrySnapshot:
-    """Telemetry totals at the end of a traffic run (what the deprecated
-    ``TrafficReport.digests`` int grew into)."""
+    """Telemetry totals at the end of a traffic run."""
 
     total_digests: int = 0
     total_events: int = 0
@@ -116,17 +113,6 @@ class TrafficReport:
     metrics: RunMetrics
     consistency: ConsistencyChecker | None = None
     telemetry: TelemetrySnapshot = field(default_factory=TelemetrySnapshot)
-
-    @property
-    def digests(self) -> int:
-        """Deprecated raw digest count; use ``report.telemetry``."""
-        warnings.warn(
-            "TrafficReport.digests is deprecated; read "
-            "report.telemetry.total_digests instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.telemetry.total_digests
 
     def summary(self) -> str:
         lines = [self.metrics.summary()]
@@ -162,48 +148,31 @@ class EngineStatus:
     """The fleet-wide execution-engine configuration after
     :meth:`FlexNet.engine` (FlexScope Reportable).
 
-    Per-feature counts rather than booleans: a fleet can be partially
-    configured (e.g. batching enabled before new devices were added),
-    and the counts make that visible instead of averaging it away.
+    A device count rather than a boolean: a fleet can be partially
+    configured (e.g. FlexPath enabled before new devices were added),
+    and the count makes that visible instead of averaging it away.
     """
 
     devices: int = 0
     fastpath_devices: int = 0
-    batch_devices: int = 0
-    flow_cache_devices: int = 0
-    cache_capacity: int = 0
 
     @property
     def fastpath(self) -> bool:
         return self.devices > 0 and self.fastpath_devices == self.devices
 
-    @property
-    def batch(self) -> bool:
-        return self.devices > 0 and self.batch_devices == self.devices
-
     def summary(self) -> str:
-        def state(count: int) -> str:
-            if count == self.devices and count > 0:
-                return "on"
-            return f"on ({count}/{self.devices} device(s))" if count else "off"
-
-        parts = [
-            f"fastpath {state(self.fastpath_devices)}",
-            f"batch {state(self.batch_devices)}",
-            f"flow-cache {state(self.flow_cache_devices)}"
-            + (f" cap={self.cache_capacity}" if self.flow_cache_devices else ""),
-        ]
-        return f"engine [{self.devices} device(s)]: " + ", ".join(parts)
+        count = self.fastpath_devices
+        if count == self.devices and count > 0:
+            state = "on"
+        else:
+            state = f"on ({count}/{self.devices} device(s))" if count else "off"
+        return f"engine [{self.devices} device(s)]: fastpath {state}"
 
     def to_dict(self) -> dict:
         return {
             "devices": self.devices,
             "fastpath": self.fastpath,
-            "batch": self.batch,
             "fastpath_devices": self.fastpath_devices,
-            "batch_devices": self.batch_devices,
-            "flow_cache_devices": self.flow_cache_devices,
-            "cache_capacity": self.cache_capacity,
         }
 
 
@@ -254,9 +223,6 @@ class FlexNet:
     def add_legacy(self, name: str) -> None:
         """A non-programmable element (forwards, hosts nothing)."""
         self.controller.add_device(name, None)
-
-    def add_custom(self, name: str, target: Target) -> None:
-        self.controller.add_device(name, target)
 
     def connect(self, a: str, b: str, latency_s: float = 1e-6) -> None:
         self.controller.add_link(a, b, latency_s)
@@ -558,7 +524,6 @@ class FlexNet:
         colocate_below_s: float | None = None,
         chaos=None,
         checkpoint_every: int | None = None,
-        batch: bool = False,
     ):
         """Run traffic sharded across worker processes (FlexScale).
 
@@ -577,24 +542,9 @@ class FlexNet:
         ``checkpoint_every`` overrides the checkpoint cadence in
         protocol rounds (default: on when chaos is armed, off
         otherwise; ``0`` forces off).
-
-        ``batch=True`` (deprecated — call ``net.engine(batch=True)``
-        before ``scale()``) turns on FlexBatch before sharding: every worker
-        inherits batching-enabled devices, and each
-        :class:`~repro.scale.shard.ShardEngine` flushes batch state at
-        its window boundaries (batching amortizes within a window, never
-        across one), so byte-identity is preserved.
         """
         from repro.scale.runner import run_sharded
 
-        if batch:
-            warnings.warn(
-                "scale(batch=True) is deprecated; call net.engine(batch=True) "
-                "before net.scale()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.engine(batch=True)
         workload = packets if packets is not None else list(
             constant_rate(rate_pps, duration_s, start_s=self.controller.loop.now)
         )
@@ -633,65 +583,31 @@ class FlexNet:
     # -- execution engine ----------------------------------------------------------
 
     def engine(
-        self,
-        *,
-        fastpath: bool | None = None,
-        batch: bool | None = None,
-        flow_cache: bool | None = None,
-        cache_capacity: int | None = None,
+        self, *, fastpath: bool | None = None, batch: bool | None = None
     ) -> EngineStatus:
         """Configure the fleet's execution engine in one call.
 
-        All arguments are keyword-only; ``None`` leaves that dimension
-        untouched, so ``net.engine()`` is a pure status read. This is
-        the successor to ``enable_fastpath()`` / ``enable_batching()`` /
-        ``scale(batch=...)`` — one verb, one
-        :class:`EngineStatus` answer.
+        ``fastpath=True`` turns on FlexPath compiled execution on every
+        device; ``fastpath=False`` reverts to the interpreter; ``None``
+        leaves it untouched, so ``net.engine()`` is a pure status read.
 
-        ``fastpath=True`` turns on FlexPath compiled execution (plus the
-        flow micro-cache unless ``flow_cache=False``; ``cache_capacity``
-        sizes it); ``fastpath=False`` reverts to interpreted execution.
-        ``batch=True`` turns on FlexBatch (implying FlexPath) — programs
-        the FlexVet gate refuses simply fall back per packet, so this is
-        always safe. ``batch=False`` disables batching but leaves
-        FlexPath as-is.
+        A device runs every packet through one call, compiled or
+        interpreted. ``batch=False`` and ``batch=None`` are accepted
+        and do nothing; ``batch=True`` raises :class:`ValueError`, since
+        batched execution works on a single program instance only.
         """
-        want_cache = True if flow_cache is None else flow_cache
-        capacity = 4096 if cache_capacity is None else cache_capacity
-        for device in self.controller.devices.values():
-            if fastpath is not None:
-                device.enable_fastpath(
-                    flow_cache=want_cache, cache_capacity=capacity, enabled=fastpath
-                )
-            if batch is not None:
-                device.enable_batching(batch)
-        status = EngineStatus(devices=len(self.controller.devices))
-        for device in self.controller.devices.values():
-            state = device.engine_status()
-            status.fastpath_devices += 1 if state["fastpath"] else 0
-            status.batch_devices += 1 if state["batch"] else 0
-            status.flow_cache_devices += 1 if state["flow_cache"] else 0
-            status.cache_capacity = max(status.cache_capacity, state["cache_capacity"])
-        return status
+        if batch:
+            from repro.simulator.batch import DEVICE_BATCHING_REMOVED
 
-    def enable_fastpath(self, flow_cache: bool = True, cache_capacity: int = 4096) -> None:
-        """Deprecated: use :meth:`engine` (``net.engine(fastpath=True)``)."""
-        warnings.warn(
-            "FlexNet.enable_fastpath() is deprecated; use "
-            "net.engine(fastpath=True, flow_cache=..., cache_capacity=...)",
-            DeprecationWarning,
-            stacklevel=2,
+            raise ValueError(DEVICE_BATCHING_REMOVED)
+        devices = self.controller.devices.values()
+        if fastpath is not None:
+            for device in devices:
+                device.enable_fastpath(fastpath)
+        return EngineStatus(
+            devices=len(devices),
+            fastpath_devices=sum(device.fastpath_enabled for device in devices),
         )
-        self.engine(fastpath=True, flow_cache=flow_cache, cache_capacity=cache_capacity)
-
-    def enable_batching(self, enabled: bool = True) -> None:
-        """Deprecated: use :meth:`engine` (``net.engine(batch=True)``)."""
-        warnings.warn(
-            "FlexNet.enable_batching() is deprecated; use net.engine(batch=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.engine(batch=enabled)
 
     def schedule(self, at_s: float, callback) -> None:
         self.controller.loop.schedule_at(at_s, callback)

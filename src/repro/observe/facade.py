@@ -186,48 +186,6 @@ class Observer:
             ).set(stats.reconfigurations)
             registry.counter("flexnet_device_crashes_total", device=name).set(stats.crashes)
             registry.counter("flexnet_device_restarts_total", device=name).set(stats.restarts)
-            cache = device.flow_cache
-            if cache is not None:
-                registry.counter("flexnet_flowcache_hits_total", device=name).set(
-                    cache.stats.hits
-                )
-                registry.counter("flexnet_flowcache_misses_total", device=name).set(
-                    cache.stats.misses
-                )
-                registry.counter("flexnet_flowcache_bypasses_total", device=name).set(
-                    cache.stats.bypasses
-                )
-                registry.counter(
-                    "flexnet_flowcache_invalidations_total", device=name
-                ).set(cache.stats.invalidations)
-                registry.counter(
-                    "flexnet_flowcache_entries_dropped_total", device=name
-                ).set(cache.stats.entries_dropped)
-                registry.gauge("flexnet_flowcache_entries", device=name).set(len(cache))
-            batch_stats = device.batch_stats()
-            if batch_stats is not None:
-                registry.counter(
-                    "flexnet_batch_packets_total",
-                    help="packets routed through the FlexBatch backend",
-                    device=name,
-                ).set(batch_stats.packets)
-                registry.counter(
-                    "flexnet_batch_batches_total", device=name
-                ).set(batch_stats.batches)
-                registry.counter(
-                    "flexnet_batch_memo_hits_total", device=name
-                ).set(batch_stats.memo_hits)
-                registry.counter(
-                    "flexnet_batch_fallback_packets_total", device=name
-                ).set(batch_stats.fallback_packets)
-                registry.gauge(
-                    "flexnet_batch_occupancy",
-                    help="mean packets per batch",
-                    device=name,
-                ).set(batch_stats.occupancy)
-                registry.gauge(
-                    "flexnet_batch_max_batch_size", device=name
-                ).set(batch_stats.max_batch_size)
             instance = device.active_instance
             if instance is not None:
                 for table_name in sorted(instance.rules):

@@ -8,7 +8,7 @@ same scenario export byte-identical text, which is what makes metric
 snapshots regression-testable.
 
 Hot paths never push here. Fast-moving sources (device stats, the
-FlexPath flow cache, the P4Runtime channel, dRPC stats) already keep
+P4Runtime channel, dRPC stats) already keep
 their own cheap counters; the registry *pulls* them through registered
 collector callbacks at export time. Control-path sources (the
 scheduler, the recovery manager, transitions) push directly — they run
@@ -148,8 +148,8 @@ class MetricsRegistry:
 
     def register_collector(self, collector) -> None:
         """``collector(registry)`` runs at every export to mirror
-        externally-kept counters (device stats, cache stats, channel
-        stats) into the registry."""
+        externally-kept counters (device stats, channel stats) into the
+        registry."""
         self._collectors.append(collector)
 
     def collect(self) -> None:

@@ -89,13 +89,8 @@ class DeviceRuntime:
         #: single-server queue state: when the "pipeline" frees up.
         self._busy_until_s = 0.0
         #: FlexPath: compile installed programs to closures instead of
-        #: interpreting them, and optionally serve repeat flows of
-        #: provably cacheable programs from a flow micro-cache.
-        self._fastpath = False
-        self._flow_cache = None
-        #: FlexBatch: route settled-active packets through the batched
-        #: backend (memo/closure tiers) instead of the flow cache.
-        self._batching = False
+        #: interpreting them.
+        self.fastpath_enabled = False
         #: FlexScope: set by :meth:`repro.observe.Observer.enable` only;
         #: ``None`` keeps the packet path observation-free (one attribute
         #: load per packet, nothing else).
@@ -126,95 +121,13 @@ class DeviceRuntime:
 
     # -- FlexPath ----------------------------------------------------------------
 
-    def enable_fastpath(
-        self, flow_cache: bool = True, cache_capacity: int = 4096, enabled: bool = True
-    ) -> None:
-        """Turn on FlexPath compiled execution for every current and
-        future program version on this device; with ``flow_cache``, also
-        attach a flow micro-cache (used only for program versions the
-        cacheability analysis admits, and bypassed mid-transition).
-        ``enabled=False`` reverts to interpreted execution, dropping the
-        compiled bodies and the cache (and FlexBatch, which rides on the
-        compiled path)."""
-        if not enabled:
-            self._fastpath = False
-            self._flow_cache = None
-            if self._batching:
-                self.enable_batching(False)
-            for instance in self._instances():
-                instance.enable_fastpath(False)
-            return
-        self._fastpath = True
-        if not flow_cache:
-            self._flow_cache = None
-        elif self._flow_cache is None or self._flow_cache.capacity != cache_capacity:
-            from repro.simulator.fastpath import FlowCache
-
-            self._flow_cache = FlowCache(cache_capacity)
+    def enable_fastpath(self, enabled: bool = True) -> None:
+        """Turn FlexPath compiled execution on (or, with
+        ``enabled=False``, off) for every current and future program
+        version on this device."""
+        self.fastpath_enabled = enabled
         for instance in self._instances():
-            instance.enable_fastpath()
-
-    def enable_batching(self, enabled: bool = True) -> None:
-        """Turn on FlexBatch for every current and future program
-        version on this device (implies FlexPath). The normal packet
-        path then routes through each instance's batch executor — whose
-        memo tier subsumes the flow cache for cacheable programs — and
-        callers holding several packets can amortize further via
-        :meth:`ProgramInstance.process_batch`."""
-        self._batching = enabled
-        if enabled and not self._fastpath:
-            self.enable_fastpath()
-        for instance in self._instances():
-            instance.enable_batching(enabled)
-
-    def engine_status(self) -> dict:
-        """This device's execution-engine configuration, as reported by
-        :meth:`FlexNet.engine` into the fleet-wide ``EngineStatus``."""
-        cache = self._flow_cache
-        return {
-            "fastpath": self._fastpath,
-            "batch": self._batching,
-            "flow_cache": cache is not None,
-            "cache_capacity": cache.capacity if cache is not None else 0,
-        }
-
-    def reset_batch_window(self) -> None:
-        """FlexScale window boundary: flush every executor's batch state
-        so batching never spans a shard protocol window."""
-        for instance in self._instances():
-            executor = instance._batch_executor
-            if executor is not None:
-                executor.reset_window()
-
-    def batch_stats(self):
-        """Aggregate FlexBatch counters across this device's live
-        program versions (None when batching is off or nothing ran)."""
-        total = None
-        for instance in self._instances():
-            executor = instance._batch_executor
-            if executor is None:
-                continue
-            if total is None:
-                from repro.simulator.batch import BatchStats
-
-                total = BatchStats()
-            stats = executor.stats
-            total.batches += stats.batches
-            total.packets += stats.packets
-            total.groups += stats.groups
-            total.memo_hits += stats.memo_hits
-            total.memo_misses += stats.memo_misses
-            total.closure_packets += stats.closure_packets
-            total.fallback_packets += stats.fallback_packets
-            total.revoked_batches += stats.revoked_batches
-            total.revocations += stats.revocations
-            total.memo_entries_dropped += stats.memo_entries_dropped
-            total.max_batch_size = max(total.max_batch_size, stats.max_batch_size)
-        return total
-
-    @property
-    def flow_cache(self):
-        return self._flow_cache
+            instance.enable_fastpath(enabled)
 
     def _instances(self):
         if self._active is not None:
@@ -225,17 +138,10 @@ class DeviceRuntime:
 
     def _on_program_change(self, *instances: ProgramInstance) -> None:
         """Hook run on every install/update/resolve: propagate fastpath
-        to the new version(s) and drop all cached flow outcomes (the
-        validity token would catch rule-level drift, but a program swap
-        can legitimately reset epochs, so invalidate wholesale)."""
-        if self._fastpath:
+        to the new version(s)."""
+        if self.fastpath_enabled:
             for instance in instances:
                 instance.enable_fastpath()
-        if self._batching:
-            for instance in instances:
-                instance.enable_batching()
-        if self._flow_cache is not None:
-            self._flow_cache.clear()
 
     # -- install / update -------------------------------------------------------
 
@@ -432,33 +338,14 @@ class DeviceRuntime:
         self._busy_until_s = start + service_s
         queueing_delay_s = start - now
 
-        # FlexPath flow cache: only consulted for the settled active
-        # version (never mid-transition, where the old/new split must
-        # stay per-packet exact); falls through to normal execution for
-        # uncacheable programs or on miss-with-record.
-        # FlexScope sampling: a sampled packet skips the flow cache and
-        # runs through the interpreter with a frame collector attached
-        # (FlexPath's differential-identity guarantee makes the outcome
+        # FlexScope sampling: a sampled packet runs through the
+        # interpreter with a frame collector attached (FlexPath's
+        # differential-identity guarantee makes the outcome
         # byte-identical to the compiled path, so only this packet's
         # execution *route* changes — never its verdict or cost model).
         observer = self.observer
         trace = observer.begin_packet() if observer is not None else None
-        result = None
-        cache = self._flow_cache
-        if trace is None and self._transition is None and instance is self._active:
-            if instance.batching_enabled:
-                # FlexBatch route (same guard as the flow cache: settled
-                # active version only). Size-1 batches still hit the
-                # memo tier for cacheable programs, which is what the
-                # flow cache would have done.
-                result = instance.process_batch([packet], now)[0]
-            elif cache is not None:
-                result = cache.process(instance, packet, now)
-        if result is None:
-            if trace is None:
-                result = instance.process(packet, now)
-            else:
-                result = instance.process(packet, now, trace=trace)
+        result = instance.process(packet, now, trace=trace)
         # Pass-through devices (hosting no element of the program) do not
         # participate in version consistency — a packet's "version" is
         # defined by the elements that processed it. Hosting devices also
@@ -543,21 +430,9 @@ class DeviceRuntime:
     def in_transition(self) -> bool:
         return self._transition is not None
 
-    @property
-    def staged_instance(self) -> ProgramInstance | None:
-        """The incoming program version while a transition window is open
-        (None otherwise). The reconfiguration orchestrator uses this to
-        swing-migrate state into maps that could not be physically shared."""
-        return self._transition.new if self._transition is not None else None
-
     def busy_until(self, now: float) -> float:
         """Earliest time a new transition may start on this device."""
         busy = max(self._unavailable_until, now)
         if self._transition is not None:
             busy = max(busy, self._transition.end)
         return busy
-
-    def utilization_fraction(self, interval_s: float, packets_in_interval: int) -> float:
-        """Fraction of the device's line-rate budget consumed."""
-        budget = self.target.performance.throughput_mpps * 1e6 * interval_s
-        return packets_in_interval / budget if budget else 1.0

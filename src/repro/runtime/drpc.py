@@ -98,10 +98,6 @@ class RpcRegistry:
             )
         return self._services[name]
 
-    @property
-    def service_names(self) -> list[str]:
-        return sorted(self._services)
-
 
 class DrpcFabric:
     """Executes dRPC calls between devices and costs them.

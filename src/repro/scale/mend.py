@@ -505,15 +505,8 @@ def _restore_device(device, ckpt: DeviceCheckpoint) -> None:
         rules.miss_count = miss_count
         rules._meter = copy.deepcopy(meter)  # noqa: SLF001
         # Setting _meter directly skips the setter's epoch bump; pin the
-        # checkpointed epoch explicitly (flow-cache entries from before
-        # the restore don't exist in a fresh fork anyway).
+        # checkpointed epoch explicitly.
         rules.epoch = epoch
-    cache = device.flow_cache
-    if cache is not None:
-        # Performance-only state: deliberately not checkpointed. A cold
-        # cache replays to identical verdicts (FlexPath's replayable-
-        # cache invariant), so clearing preserves bit-identity.
-        cache.clear()
 
 
 def checkpoint_engine(engine: ShardEngine) -> EngineCheckpoint:

@@ -27,27 +27,15 @@ per-packet outcomes *bit-exactly* (the merge gate is
   ``TableRules.epoch`` (or a read map's mutation counter) moves, the
   memo is flushed and the run continues bit-exactly on the fresh state.
 
-* **Closure tier** — for per-flow stateful instances: packets are
-  grouped by the admitted ``flow_key`` (visibility-masked, exactly the
-  values the program would observe), groups execute through the
-  compiled closure in first-appearance order with original order kept
-  inside each group, and top-level tables whose keys no hosted element
-  writes are *prematched* for the whole batch via
-  :meth:`~repro.simulator.tables.TableRules.lookup_batch` — an
-  exact-index gather over unique keys first, the rank-ordered predicate
-  scan only for residual unique keys — so the closure skips those
-  lookups per packet.
+* **Fallback** — every other batch runs packet-by-packet through the
+  normal path, still bit-exact: batch-safe but stateful slices (which
+  the memo cannot replay), programs the gate refuses, and batches whose
+  admission is revoked live because a meter attached to a hosted table
+  (the same disqualifier that bypasses the flow cache).
 
-* **Fallback** — admission is revoked live when a meter attaches to a
-  hosted table (the same disqualifier that bypasses the flow cache);
-  the batch then runs packet-by-packet through the normal path, still
-  bit-exact.
-
-FlexScale integration: a :class:`~repro.scale.shard.ShardEngine` resets
-every executor at each protocol window boundary
-(:meth:`BatchExecutor.reset_window`), so batching amortizes *within* a
-window but never across one — the windowed handoff protocol's
-byte-identity argument is untouched.
+Batching is a library piece on one :class:`ProgramInstance`; a network
+device runs every packet through a single
+:meth:`~repro.simulator.pipeline_exec.ProgramInstance.process` call.
 """
 
 from __future__ import annotations
@@ -58,6 +46,13 @@ from dataclasses import dataclass
 from repro.errors import SimulationError
 from repro.lang import ir
 from repro.simulator.packet import Packet
+
+#: Why ``FlexNet.engine(batch=True)`` is refused.
+DEVICE_BATCHING_REMOVED = (
+    "engine(batch=True) is not supported: a device runs every packet "
+    "through one call; batch packets on a single program instance with "
+    "ProgramInstance.process_batch (repro.simulator.batch)"
+)
 
 
 class PacketBatch:
@@ -101,17 +96,14 @@ class BatchStats:
 
     batches: int = 0
     packets: int = 0
-    #: execution groups formed (observation-key sub-groups in the memo
-    #: tier, flow-key groups in the closure tier).
+    #: observation-key sub-groups formed by the memo tier.
     groups: int = 0
     #: packets served by replaying a memoized outcome.
     memo_hits: int = 0
     #: representative executions that recorded a new outcome.
     memo_misses: int = 0
-    #: packets executed through the compiled closure (per-flow tier).
-    closure_packets: int = 0
-    #: packets run through the normal per-packet path after a live
-    #: admission revocation.
+    #: packets run through the normal per-packet path (stateful slice,
+    #: refused or revoked admission).
     fallback_packets: int = 0
     #: batches refused live (meter attached to a hosted table).
     revoked_batches: int = 0
@@ -134,7 +126,6 @@ class BatchStats:
             "groups": self.groups,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
-            "closure_packets": self.closure_packets,
             "fallback_packets": self.fallback_packets,
             "revoked_batches": self.revoked_batches,
             "revocations": self.revocations,
@@ -148,60 +139,10 @@ class BatchStats:
             f"{self.packets} packet(s) in {self.batches} batch(es) "
             f"(occupancy {self.occupancy:.1f}, {self.groups} group(s)): "
             f"{self.memo_hits} memo hit(s), {self.memo_misses} miss(es), "
-            f"{self.closure_packets} closure, {self.fallback_packets} "
-            f"fallback; {self.revoked_batches} batch(es) revoked, "
+            f"{self.fallback_packets} fallback; "
+            f"{self.revoked_batches} batch(es) revoked, "
             f"{self.revocations} memo flush(es)"
         )
-
-
-def _has_recirculate(program: ir.Program) -> bool:
-    """Whether any action/function body could recirculate (conservative:
-    the whole program, not just the hosted slice)."""
-
-    def in_body(body) -> bool:
-        for stmt in body:
-            if isinstance(stmt, ir.PrimitiveCall) and stmt.name == "recirculate":
-                return True
-            if isinstance(stmt, ir.If):
-                if in_body(stmt.then_body) or in_body(stmt.else_body):
-                    return True
-            elif isinstance(stmt, ir.Repeat):
-                if in_body(stmt.body):
-                    return True
-        return False
-
-    return any(in_body(action.body) for action in program.actions) or any(
-        in_body(function.body) for function in program.functions
-    )
-
-
-def _prematch_plan(instance) -> tuple:
-    """The tables a batched pass may resolve up front: top-level,
-    unconditionally applied, hosted, and keyed only on fields no hosted
-    element writes — so the key a table observes mid-pipeline equals the
-    key computed from the incoming packet. Programs that can
-    recirculate are excluded wholesale (a re-run could observe rewritten
-    fields)."""
-    program = instance.program
-    if _has_recirculate(program):
-        return ()
-    from repro.analysis.dataflow import analyze, executed_slice
-
-    info = analyze(program)
-    _, access = executed_slice(program, info, instance.hosted_elements)
-    written = {(ref.header, ref.field) for ref in access.field_writes}
-    plan = []
-    for step in program.apply:
-        if not isinstance(step, ir.ApplyTable):
-            continue
-        if not instance.hosts(step.table):
-            continue
-        table = program.table(step.table)
-        key_refs = tuple((key.field.header, key.field.field) for key in table.keys)
-        if any(ref in written for ref in key_refs):
-            continue
-        plan.append((step.table, key_refs))
-    return tuple(plan)
 
 
 def _memo_entry(outcome, instance):
@@ -261,35 +202,6 @@ def _compile_obs_key(binding):
     return namespace["obs_key"]
 
 
-def _compile_parse_sig(program: ir.Program):
-    """Codegen the parse-signature function for the closure tier.
-
-    The compiled parse pass observes exactly two things: which headers
-    are present (derived from the field-key set) and the values of the
-    parser's select fields. Packets with equal signatures therefore
-    parse to identical visibility sets, which is what lets the executor
-    memoize the parse probe instead of re-parsing every packet.
-    """
-    select_keys: list = []
-    parser = program.parser
-    if parser is not None:
-        for transition in parser.transitions:
-            ref = transition.select_field
-            if ref is not None:
-                key = (ref.header, ref.field)
-                if key not in select_keys:
-                    select_keys.append(key)
-    lines = ["def parse_sig(p):", "    f = p.fields"]
-    parts = ["tuple(f)"]
-    namespace: dict = {}
-    for index, key in enumerate(select_keys):
-        namespace[f"S{index}"] = key
-        parts.append(f"f.get(S{index}, 0)")
-    lines.append("    return (" + ", ".join(parts) + ")")
-    exec("\n".join(lines), namespace)  # noqa: S102 - static codegen, no packet data
-    return namespace["parse_sig"]
-
-
 class BatchExecutor:
     """The batched backend for one :class:`ProgramInstance`.
 
@@ -311,22 +223,13 @@ class BatchExecutor:
         self.stats = BatchStats()
         report = instance.vet()
         self._static_reasons = tuple(report.batch_reasons)
-        self._flow_fields = tuple(
-            tuple(name.split(".", 1)) for name in report.flow_key
-        )
         self._meter_tables = tuple(
             sorted(e.name for e in report.elements if e.kind == "table")
         )
         self._binding = FlowCache._binding(instance)  # noqa: SLF001 - shared per-instance binding
-        self._plan = _prematch_plan(instance) if not self._static_reasons else ()
         self._obs_key = (
             _compile_obs_key(self._binding) if self._binding.cacheable else None
         )
-        self._parse_sig = _compile_parse_sig(instance.program)
-        #: parse signature -> visibility frozenset. Never invalidated:
-        #: visibility is a pure function of the signature for this
-        #: immutable program (rule/map mutations cannot change parsing).
-        self._vis_memo: dict = {}
         #: observation key -> recorded outcome, valid under _memo_token.
         self._memo: dict = {}
         self._memo_token = None
@@ -350,8 +253,7 @@ class BatchExecutor:
     # -- window / invalidation ---------------------------------------------
 
     def reset_window(self) -> None:
-        """FlexScale window boundary: drop every memoized outcome so
-        batching never spans a shard window."""
+        """Drop every memoized outcome (the next batch re-records)."""
         self.stats.memo_entries_dropped += len(self._memo)
         self._memo.clear()
         self._memo_token = None
@@ -370,43 +272,34 @@ class BatchExecutor:
             stats.max_batch_size = size
         if not size:
             return []
-        instance = self.instance
         if self._static_reasons or self._meter_blocked():
             stats.revoked_batches += 1
-            stats.fallback_packets += size
-            process = instance.process
-            times = batch.times
-            return [process(packet, times[i]) for i, packet in enumerate(batch.packets)]
+            return self._per_packet(batch)
+        if not self._binding.cacheable:
+            # Batch-safe but stateful: the memo cannot replay map writes.
+            return self._per_packet(batch)
+        token = self._binding.token()
+        if token is None:
+            # A meter on an applied-but-unhosted table: the vet scan
+            # above cannot see it, the cacheability token can.
+            stats.revoked_batches += 1
+            return self._per_packet(batch)
+        if token != self._memo_token:
+            if self._memo_token is not None:
+                stats.revocations += 1
+                stats.memo_entries_dropped += len(self._memo)
+            self._memo.clear()
+            self._memo_token = token
         results: list = [None] * size
-        if self._binding.cacheable:
-            token = self._binding.token()
-            if token is None:
-                # A meter on an applied-but-unhosted table: the vet scan
-                # above cannot see it, the cacheability token can.
-                stats.revoked_batches += 1
-                stats.fallback_packets += size
-                process = instance.process
-                times = batch.times
-                return [
-                    process(packet, times[i]) for i, packet in enumerate(batch.packets)
-                ]
-            if token != self._memo_token:
-                if self._memo_token is not None:
-                    stats.revocations += 1
-                    stats.memo_entries_dropped += len(self._memo)
-                self._memo.clear()
-                self._memo_token = token
-            self._run_memo(batch, results)
-        elif size == 1:
-            # Device-level routing feeds single packets; the per-flow
-            # tier has nothing to amortize at size 1, so skip straight
-            # to the compiled path.
-            stats.groups += 1
-            stats.closure_packets += 1
-            results[0] = instance.process(batch.packets[0], batch.times[0])
-        else:
-            self._run_closure(batch, results)
+        self._run_memo(batch, results)
         return results
+
+    def _per_packet(self, batch: PacketBatch) -> list:
+        """Run the batch packet by packet through the normal path."""
+        self.stats.fallback_packets += batch.size
+        process = self.instance.process
+        times = batch.times
+        return [process(packet, times[i]) for i, packet in enumerate(batch.packets)]
 
     def _run_memo(self, batch: PacketBatch, results: list) -> None:
         """Memo tier: sub-group by observation key, execute one
@@ -484,109 +377,6 @@ class BatchExecutor:
             for rules, delta in miss_ops:
                 rules.miss_count += delta * count
             stats.memo_hits += count
-
-    def _run_closure(self, batch: PacketBatch, results: list) -> None:
-        """Closure tier: group by the admitted flow key (masked exactly
-        as the program observes it), prematch batch-stable tables via
-        ``lookup_batch``, then run each group through the compiled
-        closure — original order inside a group, groups in
-        first-appearance order (cross-flow independence is FlexVet's
-        ``batch_safe`` contract)."""
-        from repro.simulator.fastpath import _Ctx
-
-        instance = self.instance
-        compiled = instance._compiled  # noqa: SLF001 - hot-path binding
-        if compiled is None:
-            from repro.simulator.fastpath import compile_instance
-
-            compiled = instance._compiled = compile_instance(instance)  # noqa: SLF001
-        packets = batch.packets
-        times = batch.times
-        size = len(packets)
-
-        # The flow grouping and the prematch keys must respect parse
-        # visibility (an unparsed header reads as 0, so two packets the
-        # program sees as the same flow may differ in raw fields). One
-        # parse probe per *unique parse signature* resolves it — the
-        # signature captures everything the parse pass observes.
-        parse = compiled._parse  # noqa: SLF001
-        parse_sig = self._parse_sig
-        vis_memo = self._vis_memo
-        probe = None
-        visibles = []
-        for packet in packets:
-            sig = parse_sig(packet)
-            visible = vis_memo.get(sig)
-            if visible is None:
-                if probe is None:
-                    probe = _Ctx()
-                probe.packet = packet
-                probe.fields = packet.fields
-                probe.meta = packet.meta
-                probe.ops = 0
-                parse(probe)
-                visible = frozenset(probe.visible)
-                if len(vis_memo) >= 65536:  # unbounded-signature backstop
-                    vis_memo.clear()
-                vis_memo[sig] = visible
-            visibles.append(visible)
-
-        flow_fields = self._flow_fields
-        groups: dict = {}
-        order: list = []
-        if flow_fields:
-            for i in range(size):
-                visible = visibles[i]
-                fields = packets[i].fields
-                key = tuple(
-                    fields.get(ref, 0) if ref[0] in visible else 0
-                    for ref in flow_fields
-                )
-                rows = groups.get(key)
-                if rows is None:
-                    groups[key] = rows = []
-                    order.append(key)
-                rows.append(i)
-        else:
-            groups[()] = list(range(size))
-            order.append(())
-        stats = self.stats
-        stats.groups += len(order)
-
-        prematch_rows = None
-        if self._plan:
-            prematch_rows = [{} for _ in range(size)]
-            rules_by_name = instance.rules
-            for name, key_refs in self._plan:
-                rules = rules_by_name.get(name)
-                if rules is None:
-                    continue
-                keys = []
-                for i in range(size):
-                    visible = visibles[i]
-                    fields = packets[i].fields
-                    keys.append(
-                        tuple(
-                            fields.get(ref, 0) if ref[0] in visible else 0
-                            for ref in key_refs
-                        )
-                    )
-                actions = rules.lookup_batch(keys)
-                for i in range(size):
-                    prematch_rows[i][name] = actions[i]
-
-        if prematch_rows is None:
-            process = compiled.process
-            for key in order:
-                for i in groups[key]:
-                    results[i] = process(packets[i], times[i])
-        else:
-            process = compiled.process_prematched
-            for key in order:
-                for i in groups[key]:
-                    results[i] = process(packets[i], times[i], prematch_rows[i])
-        stats.closure_packets += size
-
 
 # ---------------------------------------------------------------------------
 # Differential harness (the FlexBatch merge gate)

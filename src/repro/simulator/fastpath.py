@@ -17,15 +17,16 @@ preserving the interpreter's semantics *bit for bit*:
 * **header visibility, recirculation, digests, meters** — all modelled
   identically; the differential harness below enforces it.
 
-On top of compilation, a per-device **flow micro-cache**
-(:class:`FlowCache`) serves repeat packets of a flow without executing
+Beside compilation, a **flow micro-cache** (:class:`FlowCache`) over
+one program instance serves repeat packets of a flow without executing
 the program at all — but only for programs FlexCheck's cacheability
 pass (:mod:`repro.analysis.cacheability`) proves stateless/read-only.
 Cached entries are validated against a token covering the program
 version, every applied table's mutation epoch, and every read map's
 mutation counter; any reconfiguration delta, rule insert/remove, meter
 attach/detach, or control-plane map write therefore invalidates the
-cache before a stale verdict can be served.
+cache before a stale verdict can be served. The cache is a library
+piece measured by E17; a network device never consults it.
 """
 
 from __future__ import annotations
@@ -44,15 +45,10 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
-#: Sentinel distinguishing "table absent from the prematch dict" from a
-#: prematched miss whose table has no default action (a legitimate None).
-_NO_PREMATCH = object()
-
-
 class _Ctx:
     """Mutable per-packet execution context threaded through closures."""
 
-    __slots__ = ("packet", "fields", "meta", "scope", "visible", "now", "ops", "prematch")
+    __slots__ = ("packet", "fields", "meta", "scope", "visible", "now", "ops")
 
     def __init__(self) -> None:
         self.packet = None
@@ -62,10 +58,6 @@ class _Ctx:
         self.visible: set[str] = set()
         self.now = 0.0
         self.ops = 0
-        #: FlexBatch: resolved ``{table name: action call}`` for this
-        #: packet, pre-computed by a vectorized ``lookup_batch`` pass
-        #: (counters already applied there). None outside batched runs.
-        self.prematch = None
 
 
 def _touches_scope(node) -> bool:
@@ -598,21 +590,6 @@ class _Compiler:
             build_key = lambda ctx: tuple(fn(ctx) for fn in key_fns)  # noqa: E731
 
         def apply_table(ctx):
-            # FlexBatch prematch: a batched run may have resolved this
-            # table for the whole batch already (counters included), in
-            # which case the per-packet lookup is skipped entirely.
-            pre = ctx.prematch
-            if pre is not None:
-                action_call = pre.get(name, _NO_PREMATCH)
-                if action_call is not _NO_PREMATCH:
-                    if action_call is None:
-                        return
-                    param_names, body_fn, body_ops, needs_scope = actions[action_call.action]
-                    if needs_scope:
-                        ctx.scope = dict(zip(param_names, action_call.args))
-                    ctx.ops += body_ops
-                    body_fn(ctx)
-                    return
             # Inlined TableRules.lookup: the compiled key arity is
             # statically correct, so the per-call validation (and the
             # call frame) are skipped; semantics are otherwise identical.
@@ -710,16 +687,11 @@ class _Compiler:
 class CompiledProgram:
     """The FlexPath executable for one :class:`ProgramInstance`."""
 
-    __slots__ = ("version", "vet", "batch", "_parse", "_apply", "_apply_ops", "_ctx")
+    __slots__ = ("version", "_parse", "_apply", "_apply_ops", "_ctx")
 
     def __init__(self, instance):
         compiler = _Compiler(instance)
         self.version = instance.program.version
-        #: FlexVet classification of the hosted slice and the batch
-        #: admission verdict at compile time — the vectorized backend
-        #: and FlexScale partitioner read these off the artifact.
-        self.vet = instance.vet()
-        self.batch = batch_gate(instance)
         self._parse = compiler.parse()
         self._apply, self._apply_ops = compiler.steps(instance.program.apply)
         self._ctx = _Ctx()
@@ -734,7 +706,6 @@ class CompiledProgram:
         ctx.scope = {}
         ctx.now = now
         ctx.ops = 0
-        ctx.prematch = None
         parse = self._parse
         apply_fn = self._apply
         apply_ops = self._apply_ops
@@ -753,47 +724,6 @@ class CompiledProgram:
         return ExecutionResult(
             ops=ctx.ops, version=self.version, recirculations=recirculations
         )
-
-    def process_prematched(self, packet: Packet, now: float, prematch: dict):
-        """:meth:`process` with a FlexBatch prematch dict: tables the
-        batched backend already resolved (and counted) via
-        ``TableRules.lookup_batch`` skip their per-packet lookup. A
-        recirculation — only reachable here when the incoming packet
-        carries a pre-set ``_recirculate`` flag, since prematch is
-        disabled for programs that recirculate — drops the prematch for
-        the re-run, because field writes could change parse visibility
-        and therefore the keys the tables would observe."""
-        from repro.simulator.pipeline_exec import MAX_RECIRCULATIONS, ExecutionResult
-
-        ctx = self._ctx
-        ctx.packet = packet
-        ctx.fields = packet.fields
-        meta = ctx.meta = packet.meta
-        ctx.scope = {}
-        ctx.now = now
-        ctx.ops = 0
-        ctx.prematch = prematch
-        parse = self._parse
-        apply_fn = self._apply
-        apply_ops = self._apply_ops
-
-        parse(ctx)
-        ctx.ops += apply_ops
-        apply_fn(ctx)
-        recirculations = 0
-        while meta.pop("_recirculate", 0) and recirculations < MAX_RECIRCULATIONS:
-            recirculations += 1
-            ctx.prematch = None
-            parse(ctx)
-            ctx.ops += apply_ops
-            apply_fn(ctx)
-        ctx.prematch = None
-        if meta.get("drop_flag"):
-            packet.verdict = Verdict.DROP
-        return ExecutionResult(
-            ops=ctx.ops, version=self.version, recirculations=recirculations
-        )
-
 
 def compile_instance(instance) -> CompiledProgram:
     """Compile ``instance`` (a :class:`ProgramInstance`) for FlexPath."""
@@ -992,7 +922,7 @@ class FlowCacheStats:
 
 
 class FlowCache:
-    """A per-device flow micro-cache over cacheable program versions.
+    """A flow micro-cache over cacheable program versions.
 
     Entries are keyed by the packet values the program can observe (per
     the cacheability decision) and validated against an epoch token; a
@@ -1056,7 +986,7 @@ class FlowCache:
 
 
 # ---------------------------------------------------------------------------
-# Batch admission (FlexVet gate for the future vectorized backend)
+# Batch admission (FlexVet gate for the batched backend)
 # ---------------------------------------------------------------------------
 
 

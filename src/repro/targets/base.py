@@ -140,11 +140,6 @@ class Target:
             return False
         return need.fits_within(self.capacity)
 
-    def parser_state_demand(self, state_count: int) -> ResourceVector:
-        if "parser_states" in self.capacity:
-            return ResourceVector(parser_states=state_count)
-        return ResourceVector()
-
     # -- generic demand helpers ----------------------------------------------
 
     def _table_bytes(self, profile: ElementProfile) -> float:

@@ -1,18 +1,17 @@
-"""The unified execution-engine verb: ``net.engine(...)`` is the one
-way to configure FlexPath/FlexBatch/flow-cache fleet-wide, the old
-toggles survive only as DeprecationWarning shims, and no in-repo caller
-uses them anymore (grep guard)."""
+"""The execution-engine verb: ``net.engine(fastpath=...)`` is the one
+way to switch a fleet between compiled and interpreted execution, and a
+device runs every packet through one execution call."""
 
-import re
+import json
 import warnings
-from pathlib import Path
 
 import pytest
 
 from repro.apps import base_infrastructure
 from repro.core.flexnet import EngineStatus, FlexNet
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from repro.scale import e20_net, e20_workload, reference_run
+from repro.simulator import batch, fastpath
+from repro.simulator.packet import reset_packet_ids
 
 
 def make_net():
@@ -29,7 +28,7 @@ class TestEngineVerb:
             status = net.engine()
         assert isinstance(status, EngineStatus)
         assert status.devices > 0
-        assert not status.fastpath and not status.batch
+        assert not status.fastpath
         # Reading did not configure anything.
         assert net.engine().to_dict() == status.to_dict()
 
@@ -37,107 +36,82 @@ class TestEngineVerb:
         net = make_net()
         on = net.engine(fastpath=True)
         assert on.fastpath and on.fastpath_devices == on.devices
-        assert on.flow_cache_devices == on.devices
-        assert on.cache_capacity == 4096
         off = net.engine(fastpath=False)
         assert not off.fastpath and off.fastpath_devices == 0
-        assert off.flow_cache_devices == 0 and off.cache_capacity == 0
 
-    def test_batch_implies_fastpath(self):
+    def test_interpreter_spelling_with_batch_false_still_works(self):
         net = make_net()
-        status = net.engine(batch=True)
-        assert status.batch and status.fastpath
+        net.engine(fastpath=True)
+        status = net.engine(fastpath=False, batch=False)
+        assert not status.fastpath and status.fastpath_devices == 0
+        assert net.engine(batch=None).to_dict() == status.to_dict()
 
-    def test_fastpath_off_drags_batching_down(self):
+    def test_batch_true_raises_and_names_process_batch(self):
         net = make_net()
-        net.engine(batch=True)
-        status = net.engine(fastpath=False)
-        assert not status.batch and status.batch_devices == 0
-
-    def test_flow_cache_tuning(self):
-        net = make_net()
-        sized = net.engine(fastpath=True, cache_capacity=512)
-        assert sized.cache_capacity == 512
-        bare = net.engine(fastpath=True, flow_cache=False)
-        assert bare.fastpath and bare.flow_cache_devices == 0
+        with pytest.raises(ValueError, match=r"ProgramInstance\.process_batch"):
+            net.engine(batch=True)
+        assert not net.engine().fastpath  # nothing was configured
 
     def test_engine_config_survives_traffic(self):
         net = make_net()
-        net.engine(batch=True)
+        net.engine(fastpath=True)
         report = net.run_traffic(rate_pps=500, duration_s=0.2, extra_time_s=1.0)
         assert report.metrics.delivered > 0
-        assert net.engine().batch
+        assert net.engine().fastpath
+
+
+class TestOneRoutePerDevice:
+    def _fabric_run(self, compiled: bool) -> str:
+        reset_packet_ids()
+        net = e20_net()
+        net.engine(fastpath=compiled)
+        workload = e20_workload(300, rate_pps=20000.0, seed=2024)
+        report = reference_run(net, workload, drain_s=0.5)
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    def test_compiled_fabric_run_is_byte_identical_and_skips_cache_and_batch(
+        self, monkeypatch
+    ):
+        calls = {"compiled": 0, "flow_cache": 0, "batch": 0}
+        compiled_process = fastpath.CompiledProgram.process
+        cache_process = fastpath.FlowCache.process
+        batch_execute = batch.BatchExecutor.execute
+
+        def counting_compiled(self, *args, **kwargs):
+            calls["compiled"] += 1
+            return compiled_process(self, *args, **kwargs)
+
+        def counting_cache(self, *args, **kwargs):
+            calls["flow_cache"] += 1
+            return cache_process(self, *args, **kwargs)
+
+        def counting_batch(self, *args, **kwargs):
+            calls["batch"] += 1
+            return batch_execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(fastpath.CompiledProgram, "process", counting_compiled)
+        monkeypatch.setattr(fastpath.FlowCache, "process", counting_cache)
+        monkeypatch.setattr(batch.BatchExecutor, "execute", counting_batch)
+
+        interpreted = self._fabric_run(compiled=False)
+        assert calls["compiled"] == 0
+        compiled = self._fabric_run(compiled=True)
+        assert compiled == interpreted
+        assert json.loads(compiled)["metrics"]["delivered"] > 0
+        assert calls["compiled"] > 0
+        assert calls["flow_cache"] == 0 and calls["batch"] == 0
 
 
 class TestEngineStatusReportable:
     def test_summary_full_fleet(self):
-        status = EngineStatus(
-            devices=3,
-            fastpath_devices=3,
-            batch_devices=0,
-            flow_cache_devices=3,
-            cache_capacity=4096,
-        )
-        assert status.summary() == (
-            "engine [3 device(s)]: fastpath on, batch off, flow-cache on cap=4096"
-        )
+        status = EngineStatus(devices=3, fastpath_devices=3)
+        assert status.summary() == "engine [3 device(s)]: fastpath on"
 
     def test_summary_partial_fleet_shows_counts(self):
-        status = EngineStatus(devices=2, fastpath_devices=1, flow_cache_devices=1,
-                              cache_capacity=4096)
+        status = EngineStatus(devices=2, fastpath_devices=1)
         assert not status.fastpath  # partial is not "on"
         assert "fastpath on (1/2 device(s))" in status.summary()
 
     def test_to_dict_shape(self):
         data = EngineStatus(devices=1, fastpath_devices=1).to_dict()
-        assert data == {
-            "devices": 1,
-            "fastpath": True,
-            "batch": False,
-            "fastpath_devices": 1,
-            "batch_devices": 0,
-            "flow_cache_devices": 0,
-            "cache_capacity": 0,
-        }
-
-
-class TestDeprecationShims:
-    def test_enable_fastpath_warns_and_delegates(self):
-        net = make_net()
-        with pytest.warns(DeprecationWarning, match="engine\\(fastpath=True"):
-            net.enable_fastpath(cache_capacity=256)
-        status = net.engine()
-        assert status.fastpath and status.cache_capacity == 256
-
-    def test_enable_batching_warns_and_delegates(self):
-        net = make_net()
-        with pytest.warns(DeprecationWarning, match="engine\\(batch=True"):
-            net.enable_batching()
-        assert net.engine().batch
-
-    def test_scale_batch_kwarg_warns(self):
-        net = make_net()
-        with pytest.warns(DeprecationWarning, match="scale\\(batch=True\\) is deprecated"):
-            net.scale(shards=2, backend="inline", rate_pps=200, duration_s=0.2, batch=True)
-        assert net.engine().batch
-
-    def test_no_in_repo_caller_uses_the_deprecated_verbs(self):
-        """Everything shipped calls ``engine(...)``; the old spellings
-        survive only in their definitions, their migration docs, and the
-        shim tests above."""
-        pattern = re.compile(
-            r"(net|flexnet|ref_net)\.enable_(fastpath|batching)\(|\.scale\([^)]*batch=True"
-        )
-        allowed = {
-            REPO_ROOT / "src" / "repro" / "core" / "flexnet.py",
-            REPO_ROOT / "tests" / "core" / "test_engine_api.py",
-        }
-        offenders = []
-        for root in ("src", "examples", "benchmarks", "tests"):
-            for path in sorted((REPO_ROOT / root).rglob("*.py")):
-                if path in allowed:
-                    continue
-                for number, line in enumerate(path.read_text().splitlines(), 1):
-                    if pattern.search(line):
-                        offenders.append(f"{path.relative_to(REPO_ROOT)}:{number}")
-        assert not offenders, offenders
+        assert data == {"devices": 1, "fastpath": True, "fastpath_devices": 1}

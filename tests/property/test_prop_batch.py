@@ -1,6 +1,6 @@
 """FlexBatch differential properties: for **every** bundled program —
-batch-safe (memo or closure tier) and batch-unsafe (per-packet fallback)
-alike — batched execution is bit-identical to the tree-walking
+whole programs on the per-packet fallback, stateless hosted slices on
+the memo tier — batched execution is bit-identical to the tree-walking
 interpreter at every batch size, including size 1, a prime that
 straddles chunk boundaries, the default 64, and a batch larger than the
 memo capacity (FIFO eviction mid-batch). Live revocation — a meter

@@ -78,43 +78,6 @@ class TestDifferentialIdentity:
         assert _canon(report.traffic_dict()) == expected
 
 
-class TestBatchedSharding:
-    """FlexBatch under FlexScale: batching amortizes within a protocol
-    window, never across one, so a batched sharded run stays
-    byte-identical to a batched unsharded reference."""
-
-    def test_batched_two_shards_byte_identical(self):
-        net, workload = _arm()
-        net.engine(batch=True)
-        expected = _canon(reference_run(net, workload, drain_s=DRAIN_S).to_dict())
-        net, workload = _arm()
-        net.engine(batch=True)
-        report = run_sharded(
-            net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
-        )
-        assert _canon(report.traffic_dict()) == expected
-        assert report.handoffs > 0
-
-    def test_batched_matches_unbatched_traffic(self):
-        expected = _reference_json()
-        net, workload = _arm()
-        net.engine(batch=True)
-        report = run_sharded(
-            net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
-        )
-        assert _canon(report.traffic_dict()) == expected
-
-    def test_batch_metrics_exported_when_batching(self):
-        net, workload = _arm()
-        net.engine(batch=True)
-        report = run_sharded(
-            net, workload, 2, backend="inline", seed=11, drain_s=DRAIN_S
-        )
-        text = report.registry.to_prometheus()
-        assert "flexnet_batch_packets_total" in text
-        assert "flexnet_batch_batches_total" in text
-
-
 class TestDeterminism:
     def test_same_seed_sharded_runs_identical(self):
         reports = []

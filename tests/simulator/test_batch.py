@@ -1,6 +1,6 @@
 """FlexBatch unit tests: the struct-of-arrays buffer, the batched table
-lookup, the tiered executor (memo / closure / fallback), live admission
-revocation, and the FlexScale window reset."""
+lookup, the tiered executor (memo / per-packet fallback), live admission
+revocation, and the memo reset."""
 
 import copy
 

@@ -177,59 +177,70 @@ class TestCacheability:
 
 
 # ---------------------------------------------------------------------------
-# Flow cache: correctness and invalidation
+# Flow cache: correctness and invalidation on one ProgramInstance
 # ---------------------------------------------------------------------------
 
 
-def cached_device(program=None, hosted=None):
+def cached_instance(program=None, hosted=None):
+    """A compiled instance of a cacheable slice plus a small flow cache."""
     program = program or base_infrastructure()
     hosted = hosted if hosted is not None else stateless_slice(program)
-    device = DeviceRuntime("sw1", drmt_switch("sw1"))
-    device.install(program, hosted_elements=set(hosted))
-    device.enable_fastpath(flow_cache=True, cache_capacity=64)
-    return device
+    instance = ProgramInstance(program, hosted_elements=set(hosted))
+    instance.enable_fastpath()
+    return instance, fastpath.FlowCache(capacity=64)
+
+
+def reference_instance(program=None, hosted=None):
+    program = program or base_infrastructure()
+    hosted = hosted if hosted is not None else stateless_slice(program)
+    return ProgramInstance(program, hosted_elements=set(hosted))
+
+
+def run_cached(cache, instance, packet, now):
+    """What a caller of the cache does: serve from it, or run the
+    instance when the cache refuses the program."""
+    result = cache.process(instance, packet, now)
+    return result if result is not None else instance.process(packet, now)
 
 
 class TestFlowCache:
     def test_hits_and_identical_outcomes(self):
-        plain = DeviceRuntime("ref", drmt_switch("ref"))
-        plain.install(base_infrastructure(), hosted_elements=stateless_slice(
-            base_infrastructure()
-        ))
-        device = cached_device()
+        plain = reference_instance()
+        instance, cache = cached_instance()
         flows = [make_packet(i % 8, 100 + i % 8) for i in range(64)]
         for i, packet in enumerate(flows):
             mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
-            device.process(mine, i * 1e-4)
-            plain.process(theirs, i * 1e-4)
+            a = run_cached(cache, instance, mine, i * 1e-4)
+            b = plain.process(theirs, i * 1e-4)
             assert mine.verdict is theirs.verdict
             assert mine.fields == theirs.fields
             assert mine.meta == theirs.meta
-        stats = device.flow_cache.stats
-        assert stats.hits > 0 and stats.bypasses == 0
+            assert a.ops == b.ops
+        assert cache.stats.hits > 0 and cache.stats.bypasses == 0
 
     def test_table_counters_replayed(self):
-        device = cached_device()
-        reference = DeviceRuntime("ref", drmt_switch("ref"))
-        reference.install(
-            base_infrastructure(),
-            hosted_elements=stateless_slice(base_infrastructure()),
-        )
+        instance, cache = cached_instance()
+        reference = reference_instance()
         for i in range(30):
             packet = make_packet(i % 3, 50)
-            device.process(copy.deepcopy(packet), i * 1e-4)
+            run_cached(cache, instance, copy.deepcopy(packet), i * 1e-4)
             reference.process(copy.deepcopy(packet), i * 1e-4)
-        mine = device.active_instance.rules["l3"]
-        theirs = reference.active_instance.rules["l3"]
+        assert cache.stats.hits > 0
+        mine = instance.rules["l3"]
+        theirs = reference.rules["l3"]
         assert mine.miss_count == theirs.miss_count
         assert mine.hit_counts == theirs.hit_counts
 
     def test_rule_insert_invalidates(self):
-        device = cached_device()
+        program = base_infrastructure()
+        device = DeviceRuntime("sw1", drmt_switch("sw1"))
+        device.install(program, hosted_elements=stateless_slice(program))
+        instance = device.active_instance
+        cache = fastpath.FlowCache(capacity=64)
         blocked = make_packet(0xBAD, 7)
-        device.process(copy.deepcopy(blocked), 0.0)
-        device.process(copy.deepcopy(blocked), 1e-4)  # cached now
-        assert device.flow_cache.stats.hits >= 1
+        run_cached(cache, instance, copy.deepcopy(blocked), 0.0)
+        run_cached(cache, instance, copy.deepcopy(blocked), 1e-4)  # cached now
+        assert cache.stats.hits >= 1
         client = P4RuntimeClient(device)
         from repro.control.p4runtime import TableEntry
 
@@ -242,45 +253,45 @@ class TestFlowCache:
             )
         )
         after = copy.deepcopy(blocked)
-        device.process(after, 2e-4)
+        run_cached(cache, instance, after, 2e-4)
         assert after.verdict is Verdict.DROP  # not the stale FORWARD
-        assert device.flow_cache.stats.invalidations >= 1
+        assert cache.stats.invalidations >= 1
 
     def test_rule_remove_invalidates(self):
-        device = cached_device()
+        instance, cache = cached_instance()
         rule = Rule(
             matches=(ternary(0xBAD, 0xFFFFFFFF), ternary(0, 0)),
             action=ActionCall("drop"),
             priority=9,
         )
-        device.active_instance.rules["acl"].insert(rule)
+        instance.rules["acl"].insert(rule)
         blocked = make_packet(0xBAD, 7)
-        device.process(copy.deepcopy(blocked), 0.0)
-        device.process(copy.deepcopy(blocked), 1e-4)
-        device.active_instance.rules["acl"].remove(rule)
+        run_cached(cache, instance, copy.deepcopy(blocked), 0.0)
+        run_cached(cache, instance, copy.deepcopy(blocked), 1e-4)
+        instance.rules["acl"].remove(rule)
         after = copy.deepcopy(blocked)
-        device.process(after, 2e-4)
+        run_cached(cache, instance, after, 2e-4)
         assert after.verdict is Verdict.FORWARD
 
     def test_meter_set_forces_bypass_and_clear_resumes(self):
         from repro.simulator.meters import Meter, MeterConfig
 
-        device = cached_device()
+        instance, cache = cached_instance()
         packet = make_packet(1, 2)
-        device.process(copy.deepcopy(packet), 0.0)
-        device.process(copy.deepcopy(packet), 1e-4)
-        hits_before = device.flow_cache.stats.hits
+        run_cached(cache, instance, copy.deepcopy(packet), 0.0)
+        run_cached(cache, instance, copy.deepcopy(packet), 1e-4)
+        hits_before = cache.stats.hits
         assert hits_before >= 1
 
-        table = device.active_instance.rules["acl"]
+        table = instance.rules["acl"]
         table.meter = Meter(MeterConfig(rate_pps=1000.0, burst_packets=10.0))
-        device.process(copy.deepcopy(packet), 2e-4)
-        assert device.flow_cache.stats.bypasses >= 1
+        assert cache.process(instance, copy.deepcopy(packet), 2e-4) is None
+        assert cache.stats.bypasses >= 1
 
         table.meter = None  # detach: caching resumes
-        device.process(copy.deepcopy(packet), 3e-4)
-        device.process(copy.deepcopy(packet), 4e-4)
-        assert device.flow_cache.stats.hits > hits_before
+        run_cached(cache, instance, copy.deepcopy(packet), 3e-4)
+        run_cached(cache, instance, copy.deepcopy(packet), 4e-4)
+        assert cache.stats.hits > hits_before
 
     def test_map_write_invalidates_via_mutation_counter(self):
         """A control-plane write to a map the program *reads* must drop
@@ -303,62 +314,63 @@ class TestFlowCache:
         program = builder.build()
         assert decide(program).cacheable  # read-only: whole program caches
 
-        device = cached_device(program)
+        instance, cache = cached_instance(program)
         packet = make_packet(5, 2)
-        device.process(copy.deepcopy(packet), 0.0)
+        run_cached(cache, instance, copy.deepcopy(packet), 0.0)
         cached = copy.deepcopy(packet)
-        device.process(cached, 1e-4)
+        run_cached(cache, instance, cached, 1e-4)
         assert cached.verdict is Verdict.FORWARD
-        assert device.flow_cache.stats.hits >= 1
+        assert cache.stats.hits >= 1
 
-        device.active_instance.maps.state("blocked").put((5,), 1)
+        instance.maps.state("blocked").put((5,), 1)
         after = copy.deepcopy(packet)
-        device.process(after, 2e-4)
+        run_cached(cache, instance, after, 2e-4)
         assert after.verdict is Verdict.DROP  # not the stale FORWARD
-        assert device.flow_cache.stats.invalidations >= 1
+        assert cache.stats.invalidations >= 1
 
     def test_mid_run_reconfig_no_stale_verdicts(self):
+        """One cache across a program change: the new version's token
+        differs, so the old version's outcomes are dropped, never served."""
         program = base_infrastructure()
-        hosted = stateless_slice(program)
-        device = cached_device(program, hosted)
-        reference = DeviceRuntime("ref", drmt_switch("ref"))
-        reference.install(program, hosted_elements=set(hosted))
+        instance, cache = cached_instance(program)
+        reference = reference_instance(program)
 
         flows = [make_packet(i % 6, 40 + i % 6) for i in range(24)]
         for i, packet in enumerate(flows):
-            device.process(copy.deepcopy(packet), i * 1e-4)
+            run_cached(cache, instance, copy.deepcopy(packet), i * 1e-4)
             reference.process(copy.deepcopy(packet), i * 1e-4)
+        assert cache.stats.hits > 0
 
         patched, _ = apply_delta(program, firewall_delta())
         new_hosted = stateless_slice(patched)
-        device.begin_hitless_update(patched, now=1.0, duration_s=0.2,
-                                    hosted_elements=set(new_hosted))
-        reference.begin_hitless_update(patched, now=1.0, duration_s=0.2,
-                                       hosted_elements=set(new_hosted))
+        successor, _ = cached_instance(patched, new_hosted)
+        successor.adopt_state(instance)
+        new_reference = reference_instance(patched, new_hosted)
+        new_reference.adopt_state(reference)
 
-        # During and after the window, cached and uncached agree packet
-        # for packet (the cache bypasses mid-transition, then re-keys).
         for i, packet in enumerate(flows * 2):
             now = 1.05 + i * 0.01
             mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
-            device.process(mine, now)
-            reference.process(theirs, now)
+            run_cached(cache, successor, mine, now)
+            new_reference.process(theirs, now)
             assert mine.verdict is theirs.verdict, (i, now)
             assert mine.fields == theirs.fields
             assert mine.meta == theirs.meta
+        assert cache.stats.invalidations >= 1
 
     def test_lru_eviction_bounded(self):
-        device = cached_device()
+        instance, cache = cached_instance()
         for i in range(200):
-            device.process(make_packet(i, i + 1), i * 1e-4)
-        assert len(device.flow_cache) <= 64
+            run_cached(cache, instance, make_packet(i, i + 1), i * 1e-4)
+        assert len(cache) <= 64
+        assert cache.stats.misses == 200
 
 
 class TestFlexNetFacade:
     def test_enable_fastpath_all_devices(self, flexnet):
         flexnet.engine(fastpath=True)
         for device in flexnet.controller.devices.values():
-            assert device._fastpath
+            assert device.fastpath_enabled
         report = flexnet.run_traffic(rate_pps=500, duration_s=0.2)
         assert report.metrics.lost_by_infrastructure == 0
         assert report.metrics.delivered > 0
