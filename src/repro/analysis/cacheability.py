@@ -18,9 +18,10 @@ over-approximation to decide that statically:
 The *cache key* must cover every input the program can observe: all
 header fields it reads **or writes** (a replayed post-state is only
 valid for packets that agree on the initial value of written locations
-too), every metadata key it touches, the parser's select fields, and
-per-header presence bits (visibility semantics make an absent header
-observable). Meters are intentionally absent here — they are runtime
+too), every metadata key it touches, and the parser's select fields.
+The memo adds the packet's set of present fields to the key
+(visibility semantics make an absent header observable) and tells a
+missing metadata key from one holding 0. Meters are intentionally absent here — they are runtime
 attachments, and the fast path bypasses the cache whenever any applied
 table carries one.
 """
@@ -44,8 +45,6 @@ class CacheabilityDecision:
     key_fields: tuple[tuple[str, str], ...]
     #: metadata keys the cache key must include.
     key_meta: tuple[str, ...]
-    #: declared header names (presence bits participate in the key).
-    headers: tuple[str, ...]
     #: maps the program reads — their mutation counters join the
     #: validity token so control-plane writes invalidate the cache.
     read_maps: tuple[str, ...]
@@ -104,7 +103,6 @@ def decide(
         reasons=tuple(reasons),
         key_fields=tuple(sorted(field_keys)),
         key_meta=tuple(sorted(meta_keys)),
-        headers=tuple(h.name for h in program.headers),
         read_maps=tuple(sorted(access.map_reads)),
         applied_tables=applied_tables,
     )

@@ -323,7 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 #: The stateless hosted slice ``bench --batch`` runs the default
-#: program on: every element that writes no map, so the memo tier
+#: program on: every element that writes no map, so the outcome memo
 #: admits it (E21 gates the same slice).
 BENCH_BATCH_SLICE = ("acl", "fw_block", "l2", "l3", "ttl_guard")
 
@@ -349,7 +349,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         base, _ = apply_delta(base_infrastructure(), firewall_delta())
         program = base
         if args.batch:
-            # The whole program writes maps, which the memo tier cannot
+            # The whole program writes maps, which the outcome memo cannot
             # replay; --batch defaults to its stateless slice (E21's) so
             # the verb runs batched code rather than the fallback.
             hosted = set(BENCH_BATCH_SLICE)
@@ -400,7 +400,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         divergences.extend(batch_report.divergences)
         instance = ProgramInstance(program, hosted)
         setup(instance)
-        instance.enable_batching()
+        instance.enable_fastpath()
         instance.process_batch([copy.deepcopy(packets[0])])  # warm up
         work = [copy.deepcopy(p) for p in packets]
         size = args.batch_size
@@ -415,7 +415,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         results["batched_pps"] = batched_pps
         results["batch_speedup"] = batched_pps / results["compiled_pps"]
         results["batch_size"] = size
-        results["batch_admitted"] = executor.admission().admitted
+        results["batch_admitted"] = executor.admitted
         results["batch_stats"] = executor.stats.to_dict()
         results["divergences"] = len(divergences)
 
@@ -434,7 +434,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"batched     : {results['batched_pps']:,.0f} pps "
                   f"({results['batch_speedup']:.2f}x compiled, "
                   f"batch={results['batch_size']}, gate {admitted})")
-            print(f"  {instance.batch_executor().stats.summary()}")
+            print(f"  {executor.stats.summary()}")
         if args.fastpath or args.batch:
             print(f"divergences : {len(divergences)}")
             for divergence in divergences:

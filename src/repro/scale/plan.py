@@ -23,9 +23,8 @@ Constraints, in order of application:
 
 The fused units are then balanced greedily (largest first, onto the
 least-loaded shard, all ties broken lexicographically) — deterministic
-by construction. Per-flow traffic is spread with
-``stable_digest(flow-key fields)`` (:meth:`ShardPlan.shard_for_flow`),
-the exact fields FlexVet proved safe to hash on, and each shard draws
+by construction. The plan records FlexVet's ``flow_key`` (the fields it
+proved safe to partition per-flow state on), and each shard draws
 from an independent seeded RNG stream (:meth:`ShardPlan.shard_seed`,
 the FlexFault per-category-stream pattern) so no shard's randomness
 depends on another's schedule.
@@ -110,11 +109,6 @@ class ShardPlan:
     def shard_seed(self, shard: int) -> int:
         """Independent per-shard RNG stream seed (FlexFault pattern)."""
         return stable_digest("flexscale-rng", self.seed, shard)
-
-    def shard_for_flow(self, *flow_values: int) -> int:
-        """Deterministically spread per-flow work across shards by
-        hashing the FlexVet-approved flow-key field values."""
-        return stable_digest("flexscale-flow", *flow_values) % self.shards
 
     def in_neighbors(self, shard: int) -> tuple[int, ...]:
         return tuple(

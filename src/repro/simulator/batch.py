@@ -1,37 +1,24 @@
-"""FlexBatch: batched struct-of-arrays packet execution behind the
-FlexVet batch gate.
+"""FlexBatch: batched execution of packets on one program instance.
 
 FlexPath (:mod:`repro.simulator.fastpath`) compiles a program once and
 executes packets one at a time; the per-packet Python overhead — context
 set-up, key tuple construction, table lookups, result allocation — caps
 the engine in the tens of microseconds per packet. FlexBatch amortizes
-that overhead across a :class:`PacketBatch` (a struct-of-arrays buffer:
-per-field value columns over many packets), which is only sound for
-programs the FlexVet gate admits (:func:`~repro.simulator.fastpath.batch_gate`):
-every data-plane map per-flow over a common partition field, and no
-meter attached to any hosted table.
+that overhead across a :class:`PacketBatch`: the batch is grouped by the
+observation key of the instance's outcome memo
+(:class:`~repro.simulator.fastpath.FlowCache`), each group makes one
+memo lookup (or one recorded execution on a miss), and the outcome is
+scattered to the group's packets — field/meta updates per packet, table
+counter deltas applied once with the group's multiplicity, one shared
+:class:`~repro.simulator.pipeline_exec.ExecutionResult`.
 
-Execution is tiered, and every tier reproduces the interpreter's
-per-packet outcomes *bit-exactly* (the merge gate is
-:func:`batched_differential` at 0 divergences):
-
-* **Memo tier** — for instances whose hosted slice is *cacheable*
-  (stateless/read-only, per :mod:`repro.analysis.cacheability`): the
-  batch is sub-grouped by the full observation key (the same key the
-  FlexPath flow cache uses); one representative per group executes the
-  compiled closure while its outcome is captured, and the rest receive
-  a vectorized scatter — field/meta updates per packet, table counter
-  deltas applied once per group with the group's multiplicity, one
-  shared :class:`~repro.simulator.pipeline_exec.ExecutionResult`.
-  Memoized outcomes persist across batches under an epoch token; when
-  ``TableRules.epoch`` (or a read map's mutation counter) moves, the
-  memo is flushed and the run continues bit-exactly on the fresh state.
-
-* **Fallback** — every other batch runs packet-by-packet through the
-  normal path, still bit-exact: batch-safe but stateful slices (which
-  the memo cannot replay), programs the gate refuses, and batches whose
-  admission is revoked live because a meter attached to a hosted table
-  (the same disqualifier that bypasses the flow cache).
+The memo's own verdict is the whole gate. FlexVet documents "cacheable ⇒
+stateless ⇒ batch-safe", so any slice the memo serves may be grouped in
+any order; a slice it refuses (one that writes a map, or whose applied
+tables carry a meter) runs packet by packet through the normal path.
+Both routes reproduce the interpreter's per-packet outcomes
+*bit-exactly* (the merge gate is :func:`batched_differential` at 0
+divergences).
 
 Batching is a library piece on one :class:`ProgramInstance`; a network
 device runs every packet through a single
@@ -45,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.lang import ir
+from repro.simulator.fastpath import FlowCache, FlowCacheStats
 from repro.simulator.packet import Packet
 
 #: Why ``FlexNet.engine(batch=True)`` is refused.
@@ -56,8 +44,7 @@ DEVICE_BATCHING_REMOVED = (
 
 
 class PacketBatch:
-    """A struct-of-arrays batch: packets plus their per-packet virtual
-    arrival times, with columnar accessors for batched passes."""
+    """A batch of packets plus their per-packet virtual arrival times."""
 
     __slots__ = ("packets", "times")
 
@@ -77,42 +64,37 @@ class PacketBatch:
     def size(self) -> int:
         return len(self.packets)
 
-    def column(self, header: str, field_name: str) -> list[int]:
-        """Raw field values across the batch (0 where absent)."""
-        key = (header, field_name)
-        return [packet.fields.get(key, 0) for packet in self.packets]
-
-    def meta_column(self, key: str) -> list[int]:
-        return [packet.meta.get(key, 0) for packet in self.packets]
-
-    def presence(self, header: str) -> list[bool]:
-        """Per-packet header presence bits."""
-        return [packet.has_header(header) for packet in self.packets]
-
 
 @dataclass
 class BatchStats:
-    """FlexBatch execution counters (the FlexScope batch metrics)."""
+    """FlexBatch execution counters (the FlexScope batch metrics). The
+    batch shape is counted here; memo outcomes live on the executor's
+    :class:`~repro.simulator.fastpath.FlowCacheStats`."""
 
+    memo: FlowCacheStats
     batches: int = 0
     packets: int = 0
-    #: observation-key sub-groups formed by the memo tier.
+    #: observation-key groups formed.
     groups: int = 0
-    #: packets served by replaying a memoized outcome.
-    memo_hits: int = 0
-    #: representative executions that recorded a new outcome.
-    memo_misses: int = 0
-    #: packets run through the normal per-packet path (stateful slice,
-    #: refused or revoked admission).
+    #: packets run through the normal per-packet path (memo refused).
     fallback_packets: int = 0
-    #: batches refused live (meter attached to a hosted table).
-    revoked_batches: int = 0
-    #: epoch-token moves that flushed the memo mid-run.
-    revocations: int = 0
-    #: memoized outcomes dropped across those flushes and window resets.
-    memo_entries_dropped: int = 0
     #: largest batch observed.
     max_batch_size: int = 0
+
+    @property
+    def memo_hits(self) -> int:
+        """Packets served by replaying a memoized outcome."""
+        return self.memo.hits
+
+    @property
+    def memo_misses(self) -> int:
+        """Group representatives that recorded a new outcome."""
+        return self.memo.misses
+
+    @property
+    def revoked_batches(self) -> int:
+        """Batches the memo refused (each ran packet by packet)."""
+        return self.memo.bypasses
 
     @property
     def occupancy(self) -> float:
@@ -128,8 +110,8 @@ class BatchStats:
             "memo_misses": self.memo_misses,
             "fallback_packets": self.fallback_packets,
             "revoked_batches": self.revoked_batches,
-            "revocations": self.revocations,
-            "memo_entries_dropped": self.memo_entries_dropped,
+            "revocations": self.memo.invalidations,
+            "memo_entries_dropped": self.memo.entries_dropped,
             "max_batch_size": self.max_batch_size,
             "occupancy": self.occupancy,
         }
@@ -141,124 +123,30 @@ class BatchStats:
             f"{self.memo_hits} memo hit(s), {self.memo_misses} miss(es), "
             f"{self.fallback_packets} fallback; "
             f"{self.revoked_batches} batch(es) revoked, "
-            f"{self.revocations} memo flush(es)"
+            f"{self.memo.invalidations} memo flush(es)"
         )
-
-
-def _memo_entry(outcome, instance):
-    """Pre-resolve one recorded outcome for fast replay: counter deltas
-    are bound to their live ``hit_counts`` lists (valid until the epoch
-    token moves, which flushes the memo), and one ExecutionResult is
-    shared by every replayed packet (results are value-compared, never
-    mutated). Returns ``(outcome, hit_ops, miss_ops, shared_result,
-    simple)`` where ``simple`` marks outcomes with no absent keys or
-    digests, which take a shorter scatter loop."""
-    from repro.simulator.pipeline_exec import ExecutionResult
-
-    rules_by_name = instance.rules
-    hit_ops = []
-    miss_ops = []
-    for table_name, hit_deltas, miss_delta in outcome.counters:
-        rules = rules_by_name.get(table_name)
-        if rules is None:
-            continue
-        hit_counts = rules.hit_counts
-        for position, delta in hit_deltas:
-            hit_ops.append((hit_counts, position, delta))
-        if miss_delta:
-            miss_ops.append((rules, miss_delta))
-    shared = ExecutionResult(
-        ops=outcome.ops, version=outcome.version, recirculations=outcome.recirculations
-    )
-    simple = not (outcome.fields_absent or outcome.meta_absent or outcome.digests)
-    return (outcome, tuple(hit_ops), tuple(miss_ops), shared, simple)
-
-
-def _compile_obs_key(binding):
-    """Codegen the per-packet observation-key function for the memo
-    tier (the FlexPath trick applied to key extraction: one specialized
-    function instead of a generic loop over key descriptors).
-
-    The key is ``(tuple(packet.fields), observed field values…, meta
-    values…)``. The leading ordered field-key tuple determines the set
-    of present fields — a strict refinement of the
-    :class:`_CacheBinding` key's per-header presence bits — so packets
-    sharing a key are indistinguishable to the hosted slice and the
-    memoized outcome replays bit-exactly.
-    """
-    lines = ["def obs_key(p):", "    f = p.fields", "    g = f.get"]
-    if binding._meta_keys:  # noqa: SLF001 - executor owns the binding
-        lines.append("    m = p.meta.get")
-    parts = ["tuple(f)"]
-    namespace: dict = {}
-    for index, key in enumerate(binding._field_keys):  # noqa: SLF001
-        namespace[f"F{index}"] = key
-        parts.append(f"g(F{index}, 0)")
-    for index, key in enumerate(binding._meta_keys):  # noqa: SLF001
-        namespace[f"M{index}"] = key
-        parts.append(f"m(M{index}, 0)")
-    lines.append("    return (" + ", ".join(parts) + ")")
-    exec("\n".join(lines), namespace)  # noqa: S102 - static codegen, no packet data
-    return namespace["obs_key"]
 
 
 class BatchExecutor:
-    """The batched backend for one :class:`ProgramInstance`.
+    """The batched backend for one :class:`ProgramInstance`, over its own
+    :class:`~repro.simulator.fastpath.FlowCache` of ``memo_capacity``
+    entries.
 
     Built lazily by :meth:`ProgramInstance.batch_executor` (after state
     sharing/adoption has re-bound rules and maps, like the FlexPath
-    compile). The static admission half (FlexVet's ``batch_safe``) is
-    fixed per instance; the live half — a meter attaching to a hosted
-    table — is re-checked on every batch, which is what "revoked live"
-    means.
+    compile). The memo re-checks its token on every batch, so a meter
+    attaching or a rule changing between batches takes effect at once.
     """
 
     def __init__(self, instance, memo_capacity: int = 4096):
-        from repro.simulator.fastpath import FlowCache
-
-        if memo_capacity <= 0:
-            raise SimulationError("batch memo capacity must be positive")
         self.instance = instance
-        self.memo_capacity = memo_capacity
-        self.stats = BatchStats()
-        report = instance.vet()
-        self._static_reasons = tuple(report.batch_reasons)
-        self._meter_tables = tuple(
-            sorted(e.name for e in report.elements if e.kind == "table")
-        )
-        self._binding = FlowCache._binding(instance)  # noqa: SLF001 - shared per-instance binding
-        self._obs_key = (
-            _compile_obs_key(self._binding) if self._binding.cacheable else None
-        )
-        #: observation key -> recorded outcome, valid under _memo_token.
-        self._memo: dict = {}
-        self._memo_token = None
+        self.cache = FlowCache(memo_capacity)
+        self.stats = BatchStats(self.cache.stats)
 
-    # -- admission ----------------------------------------------------------
-
-    def admission(self):
-        """The current live admission verdict (static + meter check)."""
-        from repro.simulator.fastpath import batch_gate
-
-        return batch_gate(self.instance)
-
-    def _meter_blocked(self) -> bool:
-        rules_by_name = self.instance.rules
-        for name in self._meter_tables:
-            rules = rules_by_name.get(name)
-            if rules is not None and rules.meter is not None:
-                return True
-        return False
-
-    # -- window / invalidation ---------------------------------------------
-
-    def reset_window(self) -> None:
-        """Drop every memoized outcome (the next batch re-records)."""
-        self.stats.memo_entries_dropped += len(self._memo)
-        self._memo.clear()
-        self._memo_token = None
-
-    # -- execution ----------------------------------------------------------
+    @property
+    def admitted(self) -> bool:
+        """Whether the memo would serve this instance's next batch."""
+        return self.cache.admits(self.instance)
 
     def execute(self, batch: PacketBatch) -> list:
         """Run one batch; returns per-packet ExecutionResults aligned
@@ -272,111 +160,34 @@ class BatchExecutor:
             stats.max_batch_size = size
         if not size:
             return []
-        if self._static_reasons or self._meter_blocked():
-            stats.revoked_batches += 1
-            return self._per_packet(batch)
-        if not self._binding.cacheable:
-            # Batch-safe but stateful: the memo cannot replay map writes.
-            return self._per_packet(batch)
-        token = self._binding.token()
-        if token is None:
-            # A meter on an applied-but-unhosted table: the vet scan
-            # above cannot see it, the cacheability token can.
-            stats.revoked_batches += 1
-            return self._per_packet(batch)
-        if token != self._memo_token:
-            if self._memo_token is not None:
-                stats.revocations += 1
-                stats.memo_entries_dropped += len(self._memo)
-            self._memo.clear()
-            self._memo_token = token
-        results: list = [None] * size
-        self._run_memo(batch, results)
-        return results
-
-    def _per_packet(self, batch: PacketBatch) -> list:
-        """Run the batch packet by packet through the normal path."""
-        self.stats.fallback_packets += batch.size
-        process = self.instance.process
-        times = batch.times
-        return [process(packet, times[i]) for i, packet in enumerate(batch.packets)]
-
-    def _run_memo(self, batch: PacketBatch, results: list) -> None:
-        """Memo tier: sub-group by observation key, execute one
-        representative per group, scatter to the rest. Sound because the
-        hosted slice is stateless — outcomes are a pure function of the
-        observation key, so any cross-group execution order is
-        bit-exact and flow-key grouping is subsumed."""
-        binding = self._binding
         packets = batch.packets
         times = batch.times
+        cache = self.cache
+        binding = cache._admit(self.instance)  # noqa: SLF001 - the executor shares the memo
+        if binding is None:
+            stats.fallback_packets += size
+            process = self.instance.process
+            return [process(packet, times[i]) for i, packet in enumerate(packets)]
 
-        subgroups: dict = {}
-        order: list = []
-        i = 0
-        for key in map(self._obs_key, packets):
-            rows = subgroups.get(key)
+        # Group rows by observation key. Sound in any order because the
+        # hosted slice is stateless: outcomes are a pure function of the key.
+        groups: dict = {}
+        for i, key in enumerate(map(binding.obs_key, packets)):
+            rows = groups.get(key)
             if rows is None:
-                subgroups[key] = rows = []
-                order.append(key)
-            rows.append(i)
-            i += 1
-        stats = self.stats
-        stats.groups += len(order)
-
-        memo = self._memo
-        capacity = self.memo_capacity
-        instance = self.instance
-        for key in order:
-            rows = subgroups[key]
-            entry = memo.get(key)
-            if entry is None:
-                rep = rows[0]
-                outcome, rep_result = binding.record(packets[rep], times[rep])
-                stats.memo_misses += 1
-                if len(memo) >= capacity:
-                    del memo[next(iter(memo))]
-                entry = _memo_entry(outcome, instance)
-                memo[key] = entry
-                results[rep] = rep_result
-                del rows[0]
-                if not rows:
-                    continue
-            outcome, hit_ops, miss_ops, shared, simple = entry
-            fields_post = outcome.fields_post
-            meta_post = outcome.meta_post
-            verdict = outcome.verdict
-            if simple:
-                for i in rows:
-                    packet = packets[i]
-                    packet.fields.update(fields_post)
-                    packet.meta.update(meta_post)
-                    packet.verdict = verdict
-                    results[i] = shared
+                groups[key] = [i]
             else:
-                fields_absent = outcome.fields_absent
-                meta_absent = outcome.meta_absent
-                digests = outcome.digests
-                for i in rows:
-                    packet = packets[i]
-                    fields = packet.fields
-                    fields.update(fields_post)
-                    for absent in fields_absent:
-                        fields.pop(absent, None)
-                    meta = packet.meta
-                    meta.update(meta_post)
-                    for absent in meta_absent:
-                        meta.pop(absent, None)
-                    packet.verdict = verdict
-                    if digests:
-                        packet.digests.extend(digests)
-                    results[i] = shared
-            count = len(rows)
-            for hit_counts, position, delta in hit_ops:
-                hit_counts[position] += delta * count
-            for rules, delta in miss_ops:
-                rules.miss_count += delta * count
-            stats.memo_hits += count
+                rows.append(i)
+        stats.groups += len(groups)
+
+        results: list = [None] * size
+        serve = cache._serve  # noqa: SLF001
+        for key, rows in groups.items():
+            result = serve(binding, key, [packets[i] for i in rows], times[rows[0]])
+            for i in rows:
+                results[i] = result
+        return results
+
 
 # ---------------------------------------------------------------------------
 # Differential harness (the FlexBatch merge gate)
@@ -407,7 +218,7 @@ def batched_differential(
         raise SimulationError("batch size must be positive")
     reference = ProgramInstance(program, hosted_elements)
     batched = ProgramInstance(program, hosted_elements)
-    batched.enable_batching()
+    batched.enable_fastpath()
     if setup is not None:
         setup(reference)
         setup(batched)

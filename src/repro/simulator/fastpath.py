@@ -17,16 +17,19 @@ preserving the interpreter's semantics *bit for bit*:
 * **header visibility, recirculation, digests, meters** — all modelled
   identically; the differential harness below enforces it.
 
-Beside compilation, a **flow micro-cache** (:class:`FlowCache`) over
-one program instance serves repeat packets of a flow without executing
-the program at all — but only for programs FlexCheck's cacheability
-pass (:mod:`repro.analysis.cacheability`) proves stateless/read-only.
-Cached entries are validated against a token covering the program
-version, every applied table's mutation epoch, and every read map's
-mutation counter; any reconfiguration delta, rule insert/remove, meter
-attach/detach, or control-plane map write therefore invalidates the
-cache before a stale verdict can be served. The cache is a library
-piece measured by E17; a network device never consults it.
+Beside compilation, one **outcome memo** (:class:`FlowCache`) over one
+program instance serves repeat packets without executing the program at
+all — but only for hosted slices FlexCheck's cacheability pass
+(:mod:`repro.analysis.cacheability`) proves stateless/read-only, and
+only while no applied table carries a meter. Entries are keyed by every
+input the slice can observe, missing keys included, and validated
+against a token covering the instance, the program version, every
+applied table's mutation epoch, and every read map's mutation counter;
+any reconfiguration delta, rule insert/remove, meter attach/detach, or
+control-plane map write therefore invalidates the memo before a stale
+verdict can be served. FlexBatch (:mod:`repro.simulator.batch`) serves
+whole groups of same-key packets from the same memo. It is a library
+piece measured by E17 and E21; a network device never consults it.
 """
 
 from __future__ import annotations
@@ -731,59 +734,106 @@ def compile_instance(instance) -> CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
-# Flow micro-cache
+# Outcome memo (flow cache)
 # ---------------------------------------------------------------------------
 
+#: What the observation key reads for a metadata key the packet does not
+#: carry, so a missing key never shares an entry with a key holding 0.
+_ABSENT = object()
 
-@dataclass
-class _CachedOutcome:
-    """Replayable effect of one recorded run on one flow."""
 
-    fields_post: dict
-    fields_absent: tuple
-    meta_post: dict
-    meta_absent: tuple
-    verdict: Verdict
-    digests: tuple
-    ops: int
-    version: int
-    recirculations: int
-    #: per-table ((rule index, hit delta), ...) and miss-count delta, so
-    #: P4Runtime direct counters stay exact under cache hits.
-    counters: tuple
+def _compile_obs_key(field_keys, meta_keys):
+    """Codegen the per-packet observation key: one specialized function
+    instead of a generic loop over key descriptors.
 
-    def replay(self, packet: Packet, instance):
-        from repro.simulator.pipeline_exec import ExecutionResult
+    The key is ``(tuple(packet.fields), observed field values…, observed
+    meta values…)``. The leading ordered field-key tuple fixes which
+    fields (and so which headers) are present, and a missing metadata
+    key reads as ``_ABSENT``. Packets sharing a key are therefore
+    indistinguishable to the hosted slice, and a recorded outcome
+    replays bit-exactly on any of them.
+    """
+    lines = ["def obs_key(p):", "    g = p.fields.get"]
+    if meta_keys:
+        lines.append("    m = p.meta.get")
+    parts = ["tuple(p.fields)"]
+    namespace: dict = {"A": _ABSENT}
+    for index, key in enumerate(field_keys):
+        namespace[f"F{index}"] = key
+        parts.append(f"g(F{index})")
+    for index, key in enumerate(meta_keys):
+        namespace[f"M{index}"] = key
+        parts.append(f"m(M{index}, A)")
+    lines.append("    return (" + ", ".join(parts) + ",)")
+    exec("\n".join(lines), namespace)  # noqa: S102 - static codegen, no packet data
+    return namespace["obs_key"]
 
-        fields = packet.fields
-        for key, value in self.fields_post.items():
-            fields[key] = value
-        for key in self.fields_absent:
-            fields.pop(key, None)
-        meta = packet.meta
-        for key, value in self.meta_post.items():
-            meta[key] = value
-        for key in self.meta_absent:
-            meta.pop(key, None)
-        packet.verdict = self.verdict
-        if self.digests:
-            packet.digests.extend(self.digests)
-        rules_by_name = instance.rules
-        for table_name, hit_deltas, miss_delta in self.counters:
-            rules = rules_by_name.get(table_name)
-            if rules is None:
-                continue
-            for position, delta in hit_deltas:
-                rules.hit_counts[position] += delta
-            rules.miss_count += miss_delta
-        return ExecutionResult(
-            ops=self.ops, version=self.version, recirculations=self.recirculations
-        )
+
+class _MemoEntry:
+    """One recorded outcome, pre-resolved for replay.
+
+    Counter deltas are bound to the live ``hit_counts`` lists (valid
+    until the token moves, which drops every entry), and the recorded
+    packet's ExecutionResult is shared by every replayed packet (results
+    are value-compared, never mutated). ``simple`` marks outcomes with
+    no absent keys or digests, which take a shorter replay loop.
+    """
+
+    __slots__ = (
+        "fields_post", "fields_absent", "meta_post", "meta_absent",
+        "verdict", "digests", "hit_ops", "miss_ops", "result", "simple",
+    )
+
+    def __init__(self, fields_post, fields_absent, meta_post, meta_absent,
+                 verdict, digests, hit_ops, miss_ops, result):
+        self.fields_post = fields_post
+        self.fields_absent = fields_absent
+        self.meta_post = meta_post
+        self.meta_absent = meta_absent
+        self.verdict = verdict
+        self.digests = digests
+        self.hit_ops = hit_ops
+        self.miss_ops = miss_ops
+        self.result = result
+        self.simple = not (fields_absent or meta_absent or digests)
+
+    def replay(self, packets) -> None:
+        """Leave every packet of ``packets`` as the recorded run left its
+        packet, and bump table counters once with their multiplicity."""
+        fields_post = self.fields_post
+        meta_post = self.meta_post
+        verdict = self.verdict
+        if self.simple:
+            for packet in packets:
+                packet.fields.update(fields_post)
+                packet.meta.update(meta_post)
+                packet.verdict = verdict
+        else:
+            fields_absent = self.fields_absent
+            meta_absent = self.meta_absent
+            digests = self.digests
+            for packet in packets:
+                fields = packet.fields
+                fields.update(fields_post)
+                for absent in fields_absent:
+                    fields.pop(absent, None)
+                meta = packet.meta
+                meta.update(meta_post)
+                for absent in meta_absent:
+                    meta.pop(absent, None)
+                packet.verdict = verdict
+                if digests:
+                    packet.digests.extend(digests)
+        count = len(packets)
+        for hit_counts, position, delta in self.hit_ops:
+            hit_counts[position] += delta * count
+        for rules, delta in self.miss_ops:
+            rules.miss_count += delta * count
 
 
 class _CacheBinding:
-    """Per-instance cache plumbing: the static cacheability decision,
-    key extraction, validity token, and outcome capture."""
+    """Per-instance memo plumbing: the static cacheability decision, the
+    observation key, the validity token, and outcome capture."""
 
     def __init__(self, instance):
         from repro.analysis.cacheability import decide
@@ -793,13 +843,16 @@ class _CacheBinding:
         self.cacheable = self.decision.cacheable
         self._field_keys = self.decision.key_fields
         self._meta_keys = self.decision.key_meta
-        self._headers = self.decision.headers
         self._tables = self.decision.applied_tables
         self._maps = self.decision.read_maps
+        self.obs_key = _compile_obs_key(self._field_keys, self._meta_keys)
 
     def token(self):
-        """Current validity token, or None when the cache must be
-        bypassed entirely (a meter makes outcomes stateful)."""
+        """Current validity token, or None when the memo must be bypassed
+        entirely: the hosted slice writes a map, or a meter on an applied
+        table makes outcomes depend on arrival order."""
+        if not self.cacheable:
+            return None
         instance = self.instance
         rules_by_name = instance.rules
         table_epochs = []
@@ -816,21 +869,12 @@ class _CacheBinding:
             state = states.get(name)
             if state is not None:
                 map_counts.append(state.mutation_count)
-        return (instance.version, tuple(table_epochs), tuple(map_counts))
-
-    def key(self, packet: Packet):
-        fields = packet.fields
-        meta = packet.meta
-        present = {key[0] for key in fields}
-        return (
-            tuple(fields.get(key, 0) for key in self._field_keys),
-            tuple(meta.get(key, 0) for key in self._meta_keys),
-            tuple(header in present for header in self._headers),
-        )
+        # The instance itself leads: entries bind its live counters.
+        return (instance, instance.version, tuple(table_epochs), tuple(map_counts))
 
     def record(self, packet: Packet, now: float):
-        """Run the packet through the real path, capturing a replayable
-        outcome for subsequent flow-mates."""
+        """Run the packet through the real path and capture its outcome;
+        returns the new :class:`_MemoEntry`."""
         instance = self.instance
         rules_by_name = instance.rules
         before = {
@@ -842,17 +886,16 @@ class _CacheBinding:
 
         result = instance.process(packet, now)
 
-        counters = []
+        hit_ops = []
+        miss_ops = []
         for name, (hits_before, miss_before) in before.items():
             rules = rules_by_name[name]
-            hit_deltas = tuple(
-                (position, after - hits_before[position])
-                for position, after in enumerate(rules.hit_counts)
-                if after != hits_before[position]
-            )
-            miss_delta = rules.miss_count - miss_before
-            if hit_deltas or miss_delta:
-                counters.append((name, hit_deltas, miss_delta))
+            hit_counts = rules.hit_counts
+            for position, after in enumerate(hit_counts):
+                if after != hits_before[position]:
+                    hit_ops.append((hit_counts, position, after - hits_before[position]))
+            if rules.miss_count != miss_before:
+                miss_ops.append((rules, rules.miss_count - miss_before))
 
         fields = packet.fields
         fields_post = {}
@@ -870,25 +913,25 @@ class _CacheBinding:
                 meta_post[key] = meta[key]
             else:
                 meta_absent.append(key)
-        outcome = _CachedOutcome(
+        return _MemoEntry(
             fields_post=fields_post,
             fields_absent=tuple(fields_absent),
             meta_post=meta_post,
             meta_absent=tuple(meta_absent),
             verdict=packet.verdict,
             digests=tuple(packet.digests[digests_before:]),
-            ops=result.ops,
-            version=result.version,
-            recirculations=result.recirculations,
-            counters=tuple(counters),
+            hit_ops=tuple(hit_ops),
+            miss_ops=tuple(miss_ops),
+            result=result,
         )
-        return outcome, result
 
 
 @dataclass
 class FlowCacheStats:
     hits: int = 0
     misses: int = 0
+    #: calls the memo refused (one per packet from :meth:`FlowCache.process`,
+    #: one per batch from a :class:`~repro.simulator.batch.BatchExecutor`).
     bypasses: int = 0
     #: token-change invalidation *events* (one per token move that found
     #: a populated cache).
@@ -922,12 +965,15 @@ class FlowCacheStats:
 
 
 class FlowCache:
-    """A flow micro-cache over cacheable program versions.
+    """The outcome memo over cacheable program versions.
 
-    Entries are keyed by the packet values the program can observe (per
-    the cacheability decision) and validated against an epoch token; a
-    token change drops every entry at once, so no reconfiguration can
-    leave a stale verdict behind.
+    Entries are keyed by the packet's observation key (every input the
+    hosted slice can observe, per the cacheability decision), evicted
+    least recently used, and validated against an epoch token; a token
+    change drops every entry at once, so no reconfiguration can leave a
+    stale verdict behind. :meth:`process` serves one packet; a
+    :class:`~repro.simulator.batch.BatchExecutor` serves one group of
+    same-key packets per lookup.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -941,10 +987,6 @@ class FlowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._token = None
-
     @staticmethod
     def _binding(instance) -> _CacheBinding:
         binding = getattr(instance, "_flow_cache_binding", None)
@@ -953,14 +995,14 @@ class FlowCache:
             instance._flow_cache_binding = binding  # noqa: SLF001
         return binding
 
-    def process(self, instance, packet: Packet, now: float):
-        """Serve ``packet`` from the cache if possible; returns the
-        :class:`ExecutionResult`, or None when the caller must run the
-        normal path itself (uncacheable program)."""
+    def admits(self, instance) -> bool:
+        """Whether the memo would serve ``instance`` right now."""
+        return self._binding(instance).token() is not None
+
+    def _admit(self, instance):
+        """The instance's binding, with stale entries dropped, or None
+        (counted as one bypass) when the memo must not serve it."""
         binding = self._binding(instance)
-        if not binding.cacheable:
-            self.stats.bypasses += 1
-            return None
         token = binding.token()
         if token is None:
             self.stats.bypasses += 1
@@ -971,68 +1013,37 @@ class FlowCache:
                 self.stats.entries_dropped += len(self._entries)
             self._entries.clear()
             self._token = token
-        key = binding.key(packet)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return entry.replay(packet, instance)
-        self.stats.misses += 1
-        outcome, result = binding.record(packet, now)
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = outcome
-        return result
+        return binding
 
+    def _serve(self, binding, key, packets, now: float):
+        """Serve ``packets``, which all have observation key ``key``: on a
+        miss the first one runs the normal path and is recorded, and every
+        other packet replays the entry. Returns the shared result."""
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            entry = binding.record(packets[0], now)
+            if len(entries) >= self.capacity:
+                entries.popitem(last=False)
+            entries[key] = entry
+            packets = packets[1:]
+            if not packets:
+                return entry.result
+        else:
+            entries.move_to_end(key)
+        self.stats.hits += len(packets)
+        entry.replay(packets)
+        return entry.result
 
-# ---------------------------------------------------------------------------
-# Batch admission (FlexVet gate for the batched backend)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchAdmission:
-    """Whether one instance may execute packets in reordered batches.
-
-    The static half is FlexVet's ``batch_safe`` verdict (every
-    data-plane map per-flow with a common partition field). The live
-    half re-checks runtime attachments the IR cannot see: a meter on
-    any hosted table makes outcomes depend on aggregate arrival order,
-    which batching would reorder — the same disqualifier that makes
-    :class:`FlowCache` bypass metered programs.
-    """
-
-    admitted: bool
-    #: fields a batched backend may partition/group by (empty for a
-    #: stateless program — any grouping works).
-    flow_key: tuple[str, ...]
-    reasons: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "flow_key": list(self.flow_key),
-            "reasons": list(self.reasons),
-        }
-
-
-def batch_gate(instance) -> BatchAdmission:
-    """Admission decision for batched execution of ``instance``."""
-    report = instance.vet()
-    reasons = list(report.batch_reasons)
-    hosted_tables = {e.name for e in report.elements if e.kind == "table"}
-    for name in sorted(hosted_tables):
-        rules = instance.rules.get(name)
-        if rules is not None and rules.meter is not None:
-            reasons.append(
-                f"table {name!r} carries a meter (rate state observes "
-                f"aggregate arrival order)"
-            )
-    return BatchAdmission(
-        admitted=not reasons,
-        flow_key=report.flow_key if not reasons else (),
-        reasons=tuple(reasons),
-    )
+    def process(self, instance, packet: Packet, now: float):
+        """Serve ``packet`` from the cache if possible; returns the
+        :class:`ExecutionResult`, or None when the caller must run the
+        normal path itself (the memo refuses the slice)."""
+        binding = self._admit(instance)
+        if binding is None:
+            return None
+        return self._serve(binding, binding.obs_key(packet), (packet,), now)
 
 
 # ---------------------------------------------------------------------------

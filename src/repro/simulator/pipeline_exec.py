@@ -57,29 +57,13 @@ class ProgramInstance:
         #: any state sharing/adoption has re-bound rules and maps).
         self.fastpath_enabled = False
         self._compiled = None
-        #: FlexBatch: when enabled, :meth:`process_batch` routes through
-        #: the batched backend (which itself falls back per packet when
-        #: the FlexVet gate refuses admission). Implies FlexPath.
-        self.batching_enabled = False
+        #: FlexBatch: the lazily built batched backend (see
+        #: :meth:`process_batch`).
         self._batch_executor = None
-        #: FlexVet: lazily computed parallelism classification of the
-        #: hosted slice (see :meth:`vet`).
-        self._vet = None
 
     @property
     def version(self) -> int:
         return self.program.version
-
-    def vet(self):
-        """The FlexVet :class:`~repro.analysis.vet.VetReport` for the
-        slice this instance hosts — the static parallelism contract a
-        batched backend or FlexScale partitioner consults at install
-        time. Computed once per instance (the program is immutable)."""
-        if self._vet is None:
-            from repro.analysis.vet import vet
-
-            self._vet = vet(self.program, self.hosted_elements)
-        return self._vet
 
     def hosts(self, element: str) -> bool:
         return self.hosted_elements is None or element in self.hosted_elements
@@ -105,17 +89,6 @@ class ProgramInstance:
         if not enabled:
             self._compiled = None
 
-    def enable_batching(self, enabled: bool = True) -> None:
-        """Toggle FlexBatch batched execution for this instance.
-
-        Batching rides on the compiled fast path, so enabling it also
-        enables FlexPath; disabling it leaves FlexPath as-is."""
-        self.batching_enabled = enabled
-        if enabled:
-            self.fastpath_enabled = True
-        else:
-            self._batch_executor = None
-
     def batch_executor(self):
         """The lazily built FlexBatch executor for this instance (built
         on first use, after state sharing/adoption, like the compile)."""
@@ -126,20 +99,14 @@ class ProgramInstance:
         return self._batch_executor
 
     def process_batch(self, batch, now: float = 0.0) -> list[ExecutionResult]:
-        """Execute a batch of packets; accepts a
-        :class:`~repro.simulator.batch.PacketBatch` or a plain packet
-        list (wrapped with a uniform ``now``). Falls back to per-packet
-        processing when batching is disabled, so callers need not
-        branch."""
+        """Execute a batch of packets through the FlexBatch executor
+        (which runs it packet by packet when the outcome memo refuses
+        this slice); accepts a :class:`~repro.simulator.batch.PacketBatch`
+        or a plain packet list (wrapped with a uniform ``now``)."""
         from repro.simulator.batch import PacketBatch
 
         if not isinstance(batch, PacketBatch):
             batch = PacketBatch(batch, now=now)
-        if not self.batching_enabled:
-            return [
-                self.process(packet, batch.times[index])
-                for index, packet in enumerate(batch.packets)
-            ]
         return self.batch_executor().execute(batch)
 
     def process(self, packet: Packet, now: float = 0.0, trace=None) -> ExecutionResult:

@@ -10,14 +10,18 @@ every bundled program the dynamics must be contained in the statics:
   a FlexScale shard relies on to own a slice of the field space);
 * every ``batch_safe=True`` program passes the FlexPath differential
   check with zero divergences (compiled vs interpreted agreement is a
-  precondition for ever batching the compiled path).
+  precondition for ever batching the compiled path);
+* cacheable ⇒ stateless ⇒ batch-safe on every hosted slice, which is
+  why the outcome memo's own verdict is the whole batching gate.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.cacheability import decide
 from repro.analysis.corpus import bundled_programs
+from repro.analysis.dataflow import analyze
 from repro.analysis.vet import StateClass, vet
 from repro.simulator import fastpath
 from repro.simulator.pipeline_exec import ProgramInstance
@@ -139,6 +143,26 @@ def test_batch_safe_programs_pass_differential_check(label, program):
     diff = fastpath.differential_check(program, packets, setup=setup)
     assert diff.packets > 0
     assert not diff.divergences, "\n".join(str(d) for d in diff.divergences)
+
+
+@pytest.mark.parametrize("label,program", PROGRAMS, ids=PROGRAM_IDS)
+def test_cacheable_slices_are_stateless_and_batch_safe(label, program):
+    """The memo refuses exactly what batching must refuse: on every
+    single-element slice and on the stateless slice, a cacheable slice is
+    one FlexVet calls stateless and batch-safe."""
+    info = analyze(program)
+    slices = [{name} for name in sorted(info.applied)]
+    slices.append(
+        {name for name in info.applied if not info.element_access(name).map_writes}
+    )
+    cacheable = 0
+    for hosted in slices:
+        if not hosted or not decide(program, hosted).cacheable:
+            continue
+        cacheable += 1
+        report = vet(program, hosted)
+        assert report.stateless and report.batch_safe, (label, sorted(hosted))
+    assert cacheable, f"{label}: no cacheable slice exercised"
 
 
 def test_classifier_is_deterministic():

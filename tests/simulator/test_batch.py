@@ -1,6 +1,6 @@
-"""FlexBatch unit tests: the struct-of-arrays buffer, the batched table
-lookup, the tiered executor (memo / per-packet fallback), live admission
-revocation, and the memo reset."""
+"""FlexBatch unit tests: the packet batch, the batched table lookup, the
+executor over the outcome memo (grouped replay / per-packet fallback),
+live refusal when a meter attaches, and the memo's absent-vs-zero key."""
 
 import copy
 
@@ -12,11 +12,16 @@ from repro.errors import SimulationError
 from repro.lang.ir import ActionCall, MatchKind, TableDef, TableKey
 from repro.lang import builder as b
 from repro.simulator import fastpath
-from repro.simulator.batch import BatchExecutor, PacketBatch, batched_differential
+from repro.simulator.batch import BatchExecutor, PacketBatch
 from repro.simulator.meters import Meter, MeterConfig
 from repro.simulator.packet import make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
 from repro.simulator.tables import Rule, TableRules, exact, lpm, ternary
+from tests.simulator.test_fastpath import (
+    ABSENT_ORDERS,
+    OBSERVED_KEY_CASES,
+    absent_and_zero,
+)
 
 
 def stateless_slice(program) -> set:
@@ -27,7 +32,7 @@ def stateless_slice(program) -> set:
 
 
 def sliced_instance(memo_capacity: int = 4096):
-    """A cacheable hosted slice of the base program — the memo tier."""
+    """A cacheable hosted slice of the base program, which the memo serves."""
     program = base_infrastructure()
     instance = ProgramInstance(program, hosted_elements=stateless_slice(program))
     fastpath.seeded_rules(program, instance, seed=5)
@@ -47,16 +52,12 @@ def reference_results(instance_factory, packets, times):
 
 
 class TestPacketBatch:
-    def test_columns_and_presence(self):
+    def test_size_and_uniform_times(self):
         packets = [make_packet(1, 2), make_packet(3, 4, ttl=9)]
         batch = PacketBatch(packets, now=0.5)
         assert batch.size == 2
         assert batch.times == [0.5, 0.5]
-        assert batch.column("ipv4", "src") == [1, 3]
-        assert batch.column("ipv4", "ttl")[1] == 9
-        assert batch.presence("ipv4") == [True, True]
-        assert batch.presence("vlan") == [False, False]
-        assert batch.meta_column("no_such_key") == [0, 0]
+        assert batch.packets == packets
 
     def test_times_length_mismatch_rejected(self):
         with pytest.raises(SimulationError):
@@ -129,7 +130,7 @@ class TestLookupBatch:
 
 
 # ---------------------------------------------------------------------------
-# BatchExecutor tiers
+# BatchExecutor over the outcome memo
 # ---------------------------------------------------------------------------
 
 
@@ -186,7 +187,7 @@ class TestBatchExecutor:
 
         work = [copy.deepcopy(p) for p in corpus]
         results = executor.execute(PacketBatch(work, times=times))
-        assert len(executor._memo) <= 2  # FIFO never exceeds capacity
+        assert len(executor.cache) <= 2  # eviction never exceeds capacity
         assert executor.stats.memo_misses > 2  # ...so it actually evicted
         for left, right, a, c in zip(ref_work, work, ref_results, results):
             assert left.verdict is right.verdict
@@ -217,51 +218,68 @@ class TestBatchExecutor:
             assert rules.hit_counts == instance.rules[name].hit_counts
             assert rules.miss_count == instance.rules[name].miss_count
 
-    def test_reset_window_flushes_memo(self):
-        instance, executor = sliced_instance()
-        executor.execute(PacketBatch([make_packet(1, 2), make_packet(1, 2)]))
-        assert executor._memo
-        dropped_before = executor.stats.memo_entries_dropped
-        executor.reset_window()
-        assert not executor._memo
-        assert executor.stats.memo_entries_dropped > dropped_before
-        # The next batch re-records and stays exact.
-        results = executor.execute(PacketBatch([make_packet(1, 2)]))
-        assert results[0] is not None
-
     def test_rule_mutation_flushes_memo_live(self):
         instance, executor = sliced_instance()
         executor.execute(PacketBatch([make_packet(0x0A000001, 2)] * 3))
-        assert executor.stats.revocations == 0
+        memo = executor.cache.stats
+        assert memo.invalidations == 0
         instance.rules["l2"].insert(
             Rule(matches=(exact(0xBEEF),), action=ActionCall("forward", (1,)))
         )
         executor.execute(PacketBatch([make_packet(0x0A000001, 2)] * 3))
-        assert executor.stats.revocations == 1
-        assert executor.stats.memo_entries_dropped >= 1
+        assert memo.invalidations == 1
+        assert memo.entries_dropped >= 1
 
     def test_meter_attach_revokes_batches_live(self):
         instance, executor = sliced_instance()
         executor.execute(PacketBatch([make_packet(1, 2)]))
         assert executor.stats.revoked_batches == 0
-        assert executor.admission().admitted
+        assert executor.admitted
         instance.rules["l2"].meter = Meter(
             MeterConfig(rate_pps=1000.0, burst_packets=10.0)
         )
-        assert not executor.admission().admitted
+        assert not executor.admitted
         results = executor.execute(PacketBatch([make_packet(1, 2), make_packet(3, 4)]))
         assert executor.stats.revoked_batches == 1
         assert executor.stats.fallback_packets == 2
         assert all(r is not None for r in results)
         # Detach: admission returns, batching resumes.
         instance.rules["l2"].meter = None
-        assert executor.admission().admitted
+        assert executor.admitted
         executor.execute(PacketBatch([make_packet(1, 2)]))
         assert executor.stats.revoked_batches == 1
 
     def test_empty_batch(self):
         instance, executor = sliced_instance()
         assert executor.execute(PacketBatch([])) == []
+
+    @ABSENT_ORDERS
+    @pytest.mark.parametrize(
+        "program,hosted,kind,key",
+        [case for case in OBSERVED_KEY_CASES if case.values[2] == "meta"],
+    )
+    def test_missing_meta_key_never_groups_with_zero(
+        self, program, hosted, kind, key, absent_first
+    ):
+        """One batch holding a packet that lacks an observed metadata key
+        and one that holds 0 there: two groups, each exact."""
+        packets = absent_and_zero(kind, key, absent_first)
+
+        def factory():
+            return ProgramInstance(program, hosted_elements=set(hosted))
+
+        _, expected, ref_results = reference_results(factory, packets, [0.0, 0.0])
+        executor = BatchExecutor(factory())
+        work = [copy.deepcopy(p) for p in packets]
+        results = executor.execute(PacketBatch(work))
+        for want, got, a, c in zip(expected, work, ref_results, results):
+            assert got.verdict is want.verdict
+            assert got.fields == want.fields
+            assert got.meta == want.meta
+            assert got.digests == want.digests
+            assert c.ops == a.ops
+        assert executor.stats.groups == 2
+        assert executor.stats.memo_hits == 0
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +288,22 @@ class TestBatchExecutor:
 
 
 class TestFacades:
-    def test_enable_batching_implies_fastpath(self):
-        instance = ProgramInstance(base_infrastructure())
-        instance.enable_batching()
-        assert instance.batching_enabled
-        assert instance.fastpath_enabled
-
     def test_process_batch_accepts_plain_lists(self):
         instance = ProgramInstance(base_infrastructure())
-        instance.enable_batching()
+        instance.enable_fastpath()
         results = instance.process_batch([make_packet(1, 2), make_packet(3, 4)])
         assert len(results) == 2
 
     def test_process_batch_without_batching_falls_back(self):
+        """The whole base program writes flow_counts, so the memo refuses
+        to batch it and every packet takes the normal path."""
         instance = ProgramInstance(base_infrastructure())
         results = instance.process_batch([make_packet(1, 2)])
         assert len(results) == 1
-        assert instance._batch_executor is None
-
-    def test_disable_batching_drops_executor(self):
-        instance = ProgramInstance(base_infrastructure())
-        instance.enable_batching()
-        instance.process_batch([make_packet(1, 2)])
-        assert instance._batch_executor is not None
-        instance.enable_batching(False)
-        assert not instance.batching_enabled
-        assert instance._batch_executor is None
+        stats = instance.batch_executor().stats
+        assert stats.fallback_packets == 1
+        assert stats.revoked_batches == 1
+        assert not instance.batch_executor().admitted
 
 
 # ---------------------------------------------------------------------------

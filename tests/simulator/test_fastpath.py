@@ -16,7 +16,7 @@ from repro.runtime.device import DeviceRuntime
 from repro.simulator import fastpath
 from repro.simulator.packet import Verdict, make_packet
 from repro.simulator.pipeline_exec import ProgramInstance
-from repro.simulator.tables import Rule, exact, ternary
+from repro.simulator.tables import Rule, ternary
 from repro.targets import drmt_switch
 
 PROGRAMS = bundled_programs()
@@ -179,6 +179,45 @@ class TestCacheability:
 # ---------------------------------------------------------------------------
 # Flow cache: correctness and invalidation on one ProgramInstance
 # ---------------------------------------------------------------------------
+
+
+def observed_key_cases():
+    """One (program, hosted slice, kind, key) case per input the stateless
+    slice of a bundled program observes: every field of the base
+    program's slice, and every metadata key of each cacheable slice."""
+    cases = []
+    for label, program in PROGRAMS:
+        hosted = stateless_slice(program)
+        if not hosted:
+            continue
+        decision = decide(program, hosted)
+        if not decision.cacheable:
+            continue
+        inputs = [("meta", key) for key in decision.key_meta]
+        if label == "base":
+            inputs = [("field", key) for key in decision.key_fields] + inputs
+        for kind, key in inputs:
+            name = ".".join(key) if kind == "field" else key
+            cases.append(
+                pytest.param(program, hosted, kind, key, id=f"{label}-{kind}-{name}")
+            )
+    return cases
+
+
+def absent_and_zero(kind, key, absent_first):
+    """Two packets alike but for ``key``: one lacks it, one holds 0."""
+    lacking = make_packet(0x0A000001, 0x0A000002)
+    store = lacking.fields if kind == "field" else lacking.meta
+    store.pop(key, None)
+    zero = copy.deepcopy(lacking)
+    (zero.fields if kind == "field" else zero.meta)[key] = 0
+    return [lacking, zero] if absent_first else [zero, lacking]
+
+
+OBSERVED_KEY_CASES = observed_key_cases()
+ABSENT_ORDERS = pytest.mark.parametrize(
+    "absent_first", [True, False], ids=["absent-first", "zero-first"]
+)
 
 
 def cached_instance(program=None, hosted=None):
@@ -364,6 +403,28 @@ class TestFlowCache:
             run_cached(cache, instance, make_packet(i, i + 1), i * 1e-4)
         assert len(cache) <= 64
         assert cache.stats.misses == 200
+
+    @ABSENT_ORDERS
+    @pytest.mark.parametrize("program,hosted,kind,key", OBSERVED_KEY_CASES)
+    def test_missing_key_never_shares_an_entry_with_zero(
+        self, program, hosted, kind, key, absent_first
+    ):
+        """A packet lacking an observed field or metadata key and one
+        holding 0 there must not share a memo entry: replaying one's
+        outcome on the other would add or remove that key."""
+        packets = absent_and_zero(kind, key, absent_first)
+        reference = reference_instance(program, hosted)
+        instance, cache = cached_instance(program, hosted)
+        for i, packet in enumerate(packets):
+            mine, theirs = copy.deepcopy(packet), copy.deepcopy(packet)
+            a = run_cached(cache, instance, mine, i * 1e-4)
+            b = reference.process(theirs, i * 1e-4)
+            assert mine.verdict is theirs.verdict
+            assert mine.fields == theirs.fields
+            assert mine.meta == theirs.meta
+            assert mine.digests == theirs.digests
+            assert a.ops == b.ops
+        assert cache.stats.hits == 0
 
 
 class TestFlexNetFacade:
