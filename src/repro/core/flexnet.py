@@ -587,9 +587,11 @@ class FlexNet:
     ) -> EngineStatus:
         """Configure the fleet's execution engine in one call.
 
-        ``fastpath=True`` turns on FlexPath compiled execution on every
-        device; ``fastpath=False`` reverts to the interpreter; ``None``
-        leaves it untouched, so ``net.engine()`` is a pure status read.
+        FlexPath compiled execution is every device's default.
+        ``fastpath=False`` switches every device to the interpreter (the
+        semantic oracle's route); ``fastpath=True`` switches back;
+        ``None`` leaves it untouched, so ``net.engine()`` is a pure
+        status read.
 
         A device runs every packet through one call, compiled or
         interpreted. ``batch=False`` and ``batch=None`` are accepted

@@ -88,9 +88,12 @@ class DeviceRuntime:
         self._crashed = False
         #: single-server queue state: when the "pipeline" frees up.
         self._busy_until_s = 0.0
-        #: FlexPath: compile installed programs to closures instead of
-        #: interpreting them.
-        self.fastpath_enabled = False
+        #: FlexPath: run installed programs compiled to closures (the
+        #: default; each version compiles lazily on its first packet).
+        #: ``False`` interprets every packet, the semantic oracle's route
+        #: (``FlexNet.engine(fastpath=False)``). A FlexScope-sampled
+        #: packet is interpreted either way.
+        self.fastpath_enabled = True
         #: FlexScope: set by :meth:`repro.observe.Observer.enable` only;
         #: ``None`` keeps the packet path observation-free (one attribute
         #: load per packet, nothing else).

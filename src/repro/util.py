@@ -7,6 +7,10 @@ import struct
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MAX_PART = (1 << 128) - 1
+#: ``_ZERO_RUN[k]`` is ``P ** (16 - k) mod 2**64``: FNV-1a over the
+#: ``16 - k`` zero bytes that pad a ``k``-byte part to 16 bytes.
+_ZERO_RUN = tuple(pow(_FNV_PRIME, 16 - size, 1 << 64) for size in range(17))
 
 
 def _fnv64(data: bytes, value: int = _FNV_OFFSET) -> int:
@@ -36,10 +40,25 @@ def stable_hash(parts: tuple[int, ...]) -> int:
     (sketches, ECMP, register indexing) must be reproducible across
     runs and across simulated devices, so everything hashes through
     this function.
+
+    Each part is hashed as its 16-byte little-endian encoding. The loop
+    runs only over the ``k`` low bytes up to the highest nonzero one;
+    the ``16 - k`` zero bytes above them fold into one multiply by
+    ``P ** (16 - k) mod 2**64``, because XOR with a zero byte is the
+    identity. The result is bit-exact with the full 16-byte loop. Parts
+    outside ``[0, 2**128)`` take that full loop, which raises
+    :class:`OverflowError`.
     """
     value = _FNV_OFFSET
     for part in parts:
-        value = _fnv64(int(part).to_bytes(16, "little", signed=False), value)
+        part = int(part)
+        if 0 <= part <= _MAX_PART:
+            size = (part.bit_length() + 7) >> 3
+            for byte in part.to_bytes(size, "little"):
+                value = ((value ^ byte) * _FNV_PRIME) & _MASK64
+            value = (value * _ZERO_RUN[size]) & _MASK64
+        else:
+            value = _fnv64(part.to_bytes(16, "little", signed=False), value)
     return _avalanche(value)
 
 

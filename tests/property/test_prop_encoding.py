@@ -1,12 +1,13 @@
 """Property-based tests for state encoding conversions and hashing."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compiler.state_encoding import ASSOCIATIVE, convert, decode, encode
 from repro.lang.maps import MapSnapshot
 from repro.targets.base import StateEncoding
-from repro.util import stable_hash
+from repro.util import _avalanche, stable_hash
 
 entries = st.dictionaries(
     st.tuples(st.integers(min_value=0, max_value=2**32 - 1)),
@@ -59,3 +60,51 @@ def test_stable_hash_low_bits_spread(values):
     entropy (the FNV-without-finalizer bug this guards against)."""
     buckets = {stable_hash((v,)) % 4 for v in values}
     assert len(buckets) >= 3
+
+
+def full_width_stable_hash(parts):
+    """The original ``stable_hash``: FNV-1a over all 16 little-endian
+    bytes of every part, zero padding included."""
+    value = 0xCBF29CE484222325
+    for part in parts:
+        for byte in int(part).to_bytes(16, "little", signed=False):
+            value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return _avalanche(value)
+
+
+hash_parts = st.one_of(
+    st.integers(min_value=0, max_value=2**128 - 1),
+    st.sampled_from([0, 2**64 - 1, 2**64, 2**128 - 1]),
+    st.booleans(),
+)
+
+
+@given(st.lists(hash_parts, max_size=6).map(tuple))
+def test_stable_hash_matches_full_width_fnv(parts):
+    """Skipping the zero bytes above each part's highest nonzero byte
+    and folding them into one multiply is bit-exact."""
+    assert stable_hash(parts) == full_width_stable_hash(parts)
+
+
+#: ``stable_hash`` outputs pinned before the zero-run fold: sketches,
+#: ECMP, fault-plan RNG seeds and Raft timeouts all derive from them.
+GOLDEN_HASHES = [
+    ((), 0xEFD01F60BA992926),
+    ((0,), 0xA5E0DBA6C385580A),
+    ((0, 0, 0, 0, 0), 0xE5A03C58872E64EE),
+    ((2**64 - 1, 2**64), 0xFB6FFFFFEDA31D40),
+    ((2**128 - 1,), 0xB985182D97D9D96F),
+    ((True, False), 0xE1D6389F9CA0C832),
+    ((0x0A000001, 0x0A000002, 6, 1234, 80), 0x440B2E70C87AA732),
+]
+
+
+@pytest.mark.parametrize("parts,expected", GOLDEN_HASHES)
+def test_stable_hash_golden(parts, expected):
+    assert stable_hash(parts) == expected
+
+
+@pytest.mark.parametrize("part", [-1, 2**128])
+def test_stable_hash_rejects_parts_outside_128_bits(part):
+    with pytest.raises(OverflowError):
+        stable_hash((1, part))
