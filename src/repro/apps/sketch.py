@@ -92,8 +92,3 @@ class SketchReader:
 
     def heavy_keys(self, candidates: list[int], threshold: int) -> list[int]:
         return [key for key in candidates if self.estimate(key) >= threshold]
-
-    def total_updates(self) -> int:
-        """Sum of row-0 counters == packets observed (row 0 sees every
-        update exactly once)."""
-        return sum(self._client.read_map(row_map_name(0)).values())

@@ -191,8 +191,8 @@ class MessageBus:
     def now(self) -> float:
         return self._loop.now
 
-    def schedule(self, delay: float, callback: Callable[[], None]):
-        return self._loop.schedule(delay, callback)
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        self._loop.schedule(delay, callback)
 
 
 class RaftNode:

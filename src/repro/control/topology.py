@@ -75,10 +75,6 @@ class TopologyView:
         return self._devices[name]
 
     @property
-    def device_names(self) -> list[str]:
-        return sorted(self._devices)
-
-    @property
     def runtime_programmable_devices(self) -> list[str]:
         return sorted(n for n, d in self._devices.items() if d.runtime_programmable)
 

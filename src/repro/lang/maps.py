@@ -155,19 +155,3 @@ class MapSet:
             for state in self._states.values()
             if not durable_only or state.definition.persistence is Persistence.DURABLE
         ]
-
-    def adopt(self, other: "MapSet") -> None:
-        """Carry state over from a previous program version: any map with
-        the same name and compatible definition keeps its contents across
-        a runtime reconfiguration (the paper's hitless-update semantics)."""
-        for name, old_state in other._states.items():
-            if name in self._states:
-                new_state = self._states[name]
-                same_keys = (
-                    new_state.definition.key_fields == old_state.definition.key_fields
-                )
-                if same_keys:
-                    for key, value in old_state.items():
-                        if len(new_state._entries) >= new_state.definition.max_entries:
-                            break
-                        new_state.put(key, value)

@@ -59,10 +59,6 @@ class _Parser:
     def _current(self) -> Token:
         return self._tokens[self._index]
 
-    def _peek_text(self, offset: int = 0) -> str:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index].text
-
     def _advance(self) -> Token:
         token = self._current
         if token.kind is not TokenKind.EOF:

@@ -25,6 +25,33 @@ from repro.observe.trace import PacketTrace, Tracer
 DEFAULT_SAMPLE_EVERY = 64
 
 
+def collect_device_families(registry: MetricsRegistry, devices: dict, digests: int) -> None:
+    """Write the per-device packet/drop/op/queue-drop counters and the
+    telemetry digest total. The Observer's scrape and every FlexScale
+    shard's frozen registry share these families, so a merged fleet
+    export is indistinguishable from a single-process one."""
+    for name in sorted(devices):
+        stats = devices[name].stats
+        for version in sorted(stats.per_version):
+            registry.counter(
+                "flexnet_device_packets_total",
+                help="packets processed per device and program version",
+                device=name,
+                version=version,
+            ).set(stats.per_version[version])
+        registry.counter("flexnet_device_dropped_total", device=name).set(
+            stats.dropped_by_program
+        )
+        registry.counter("flexnet_device_ops_total", device=name).set(stats.total_ops)
+        registry.counter("flexnet_device_queue_drops_total", device=name).set(
+            stats.queue_drops
+        )
+    registry.counter(
+        "flexnet_telemetry_digests_total",
+        help="digest records ever ingested",
+    ).set(digests)
+
+
 class Observer:
     """See module docstring."""
 
@@ -38,7 +65,6 @@ class Observer:
         self.metrics = MetricsRegistry()
         self.profiler = Profiler()
         self.sample_every = sample_every
-        self.trace_packets = True
         self._controller = None
         self._collector_registered = False
         #: observer-local sample counter — deliberately NOT the global
@@ -57,7 +83,6 @@ class Observer:
     def enable(
         self,
         sample_every: int | None = None,
-        trace_packets: bool = True,
         sink=None,
     ) -> "Observer":
         """Install every hook. ``sample_every=N`` traces one packet in N
@@ -67,7 +92,6 @@ class Observer:
             raise RuntimeError("Observer.bind(controller) must run before enable()")
         if sample_every is not None:
             self.sample_every = sample_every
-        self.trace_packets = trace_packets
         if sink is not None:
             self.tracer.sink = sink
         self.enabled = True
@@ -77,7 +101,7 @@ class Observer:
         controller.drpc.observer = self
         controller.telemetry.observer = self
         controller.engine.profiler = self.profiler
-        if trace_packets and self.sample_every > 0:
+        if self.sample_every > 0:
             for device in controller.devices.values():
                 device.observer = self
         if not self._collector_registered:
@@ -102,7 +126,7 @@ class Observer:
 
     def attach_device(self, device) -> None:
         """Hook a device added after :meth:`enable` (controller calls this)."""
-        if self.enabled and self.trace_packets and self.sample_every > 0:
+        if self.enabled and self.sample_every > 0:
             device.observer = self
 
     # -- packet sampling ----------------------------------------------------
@@ -161,23 +185,11 @@ class Observer:
         controller = self._controller
         if controller is None:
             return
+        telemetry = controller.telemetry
+        collect_device_families(registry, controller.devices, telemetry.total_digests)
         for name in sorted(controller.devices):
             device = controller.devices[name]
             stats = device.stats
-            for version in sorted(stats.per_version):
-                registry.counter(
-                    "flexnet_device_packets_total",
-                    help="packets processed per device and program version",
-                    device=name,
-                    version=version,
-                ).set(stats.per_version[version])
-            registry.counter(
-                "flexnet_device_dropped_total", device=name
-            ).set(stats.dropped_by_program)
-            registry.counter("flexnet_device_ops_total", device=name).set(stats.total_ops)
-            registry.counter(
-                "flexnet_device_queue_drops_total", device=name
-            ).set(stats.queue_drops)
             registry.gauge(
                 "flexnet_device_queue_depth_max", device=name
             ).set(stats.max_queue_depth)
@@ -233,11 +245,6 @@ class Observer:
             registry.counter(
                 "flexnet_drpc_latency_seconds_total", service=service
             ).set(round(stats.total_latency_s, 9))
-        telemetry = controller.telemetry
-        registry.counter(
-            "flexnet_telemetry_digests_total",
-            help="digest records ever ingested",
-        ).set(telemetry.total_digests)
         registry.counter("flexnet_telemetry_events_total").set(telemetry.total_events)
         if controller.fault_injector is not None:
             for key, value in controller.fault_injector.stats.to_dict().items():
@@ -267,9 +274,6 @@ class Observer:
             ).set(len(record.elements))
 
     # -- convenience --------------------------------------------------------
-
-    def span_tree(self) -> str:
-        return self.tracer.render_tree()
 
     def to_dict(self) -> dict:
         """Everything FlexScope holds, machine-readable and deterministic

@@ -645,7 +645,6 @@ def _worker_main(
             net.controller.devices,
             end_time,
             topology=net.controller.network,
-            track_inflight=checkpoint_every > 0,
         )
         if restore is not None:
             restore_engine(engine, restore.engine)

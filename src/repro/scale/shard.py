@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.observe.facade import collect_device_families
 from repro.observe.metrics import MetricsRegistry
 from repro.simulator.engine import EventLoop
 from repro.simulator.metrics import LatencyStats, RunMetrics
@@ -118,7 +119,6 @@ class ShardEngine:
         devices: dict,
         end_time: float,
         topology: Network | None = None,
-        track_inflight: bool = False,
     ):
         self.shard_id = shard_id
         self.plan = plan
@@ -126,10 +126,7 @@ class ShardEngine:
         self.loop = EventLoop()
         self.owned = set(plan.devices_on(shard_id))
         self.network = Network(
-            loop=self.loop,
-            owned=self.owned,
-            on_handoff=self._handoff_out,
-            track_inflight=track_inflight,
+            loop=self.loop, owned=self.owned, on_handoff=self._handoff_out
         )
         if topology is not None:
             self.network.adopt_topology(topology)
@@ -248,21 +245,6 @@ class ShardEngine:
         anywhere upstream of this shard."""
         return self._clock >= self.end_time and self.safe_time() >= self.end_time
 
-    # -- FlexMend checkpoints ----------------------------------------------
-
-    def checkpoint(self):
-        """Snapshot this shard as plain data at a window boundary
-        (requires ``track_inflight=True``; see :mod:`repro.scale.mend`)."""
-        from repro.scale.mend import checkpoint_engine
-
-        return checkpoint_engine(self)
-
-    def restore(self, ckpt) -> None:
-        """Rebuild this (fresh, un-injected) engine from a checkpoint."""
-        from repro.scale.mend import restore_engine
-
-        restore_engine(self, ckpt)
-
     # -- result -------------------------------------------------------------
 
     def _collect_registry(self) -> MetricsRegistry:
@@ -270,28 +252,7 @@ class ShardEngine:
         exports, so merged fleet output is indistinguishable from a
         single-process scrape), frozen for cross-process shipping."""
         registry = MetricsRegistry()
-        for name in sorted(self._devices):
-            stats = self._devices[name].stats
-            for version in sorted(stats.per_version):
-                registry.counter(
-                    "flexnet_device_packets_total",
-                    help="packets processed per device and program version",
-                    device=name,
-                    version=version,
-                ).set(stats.per_version[version])
-            registry.counter(
-                "flexnet_device_dropped_total", device=name
-            ).set(stats.dropped_by_program)
-            registry.counter("flexnet_device_ops_total", device=name).set(
-                stats.total_ops
-            )
-            registry.counter(
-                "flexnet_device_queue_drops_total", device=name
-            ).set(stats.queue_drops)
-        registry.counter(
-            "flexnet_telemetry_digests_total",
-            help="digest records ever ingested",
-        ).set(self.digest_count)
+        collect_device_families(registry, self._devices, self.digest_count)
         registry.counter(
             "flexnet_scale_windows_total",
             help="protocol windows executed per shard",

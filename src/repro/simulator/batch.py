@@ -211,7 +211,7 @@ def batched_differential(
     batched, batch_index)`` — when given — runs before each batch on
     both instances, which is how the revocation tests attach a meter or
     mutate rules mid-run."""
-    from repro.simulator.fastpath import DifferentialReport, Divergence
+    from repro.simulator.fastpath import DifferentialReport
     from repro.simulator.pipeline_exec import ProgramInstance
 
     if batch_size <= 0:
@@ -238,53 +238,7 @@ def batched_differential(
             for offset, packet in enumerate(lefts)
         ]
         batch_results = batched.process_batch(PacketBatch(rights, times=times))
-        for offset in range(len(chunk)):
-            index = start + offset
-            left, right = lefts[offset], rights[offset]
-            ref_result, batch_result = ref_results[offset], batch_results[offset]
-            report.packets += 1
-            checks = (
-                ("verdict", left.verdict, right.verdict),
-                ("fields", left.fields, right.fields),
-                ("meta", left.meta, right.meta),
-                ("digests", left.digests, right.digests),
-                ("ops", ref_result.ops, batch_result.ops),
-                ("recirculations", ref_result.recirculations, batch_result.recirculations),
-                ("version", ref_result.version, batch_result.version),
-            )
-            for kind, expected, actual in checks:
-                if expected != actual:
-                    report.divergences.append(
-                        Divergence(
-                            index, kind, copy.deepcopy(expected), copy.deepcopy(actual)
-                        )
-                    )
-
-    for map_name in reference.maps.names():
-        ref_state = dict(reference.maps.state(map_name).items())
-        batch_state = dict(batched.maps.state(map_name).items())
-        if ref_state != batch_state:
-            report.divergences.append(
-                Divergence(-1, f"map:{map_name}", ref_state, batch_state)
-            )
-    for table_name, ref_rules in reference.rules.items():
-        batch_rules = batched.rules[table_name]
-        if ref_rules.hit_counts != batch_rules.hit_counts:
-            report.divergences.append(
-                Divergence(
-                    -1,
-                    f"hit_counts:{table_name}",
-                    list(ref_rules.hit_counts),
-                    list(batch_rules.hit_counts),
-                )
-            )
-        if ref_rules.miss_count != batch_rules.miss_count:
-            report.divergences.append(
-                Divergence(
-                    -1,
-                    f"miss_count:{table_name}",
-                    ref_rules.miss_count,
-                    batch_rules.miss_count,
-                )
-            )
+        for offset, outcome in enumerate(zip(lefts, rights, ref_results, batch_results)):
+            report.compare_packet(start + offset, *outcome)
+    report.compare_state(reference, batched)
     return report

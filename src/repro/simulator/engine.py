@@ -1,14 +1,16 @@
 """Discrete-event simulation engine.
 
-A minimal, deterministic event loop. The ordering contract is explicit
-and load-bearing (FlexScale's cross-shard handoff protocol relies on
-it):
+A minimal, deterministic event loop. Every event is plain data: one
+``(time, seq, callback, args)`` heap record, run as ``callback(*args)``.
+The ordering contract is explicit and load-bearing (FlexScale's
+cross-shard handoff protocol relies on it):
 
 * Events execute in ascending ``(time, seq)`` order, where ``seq`` is
   the monotonically increasing *insertion* counter of this loop.
 * Two events scheduled for the same virtual time therefore run in the
   exact order they were scheduled — never in heap-internal, id-based,
-  or otherwise incidental order.
+  or otherwise incidental order. ``seq`` is unique, so a heap
+  comparison never reaches the callback.
 * ``schedule_at`` stores the *exact* absolute time it was given (no
   ``now + (time - now)`` float round trip), so an event handed across
   process boundaries with a precomputed absolute timestamp executes at
@@ -17,7 +19,9 @@ it):
 Callers that inject externally-produced events (the FlexScale shard
 runtime draining a handoff queue) must therefore insert them in a
 canonical order of their own — e.g. sorted by ``(time, packet_id)`` —
-before scheduling; the loop then preserves that order exactly. All
+before scheduling; the loop then preserves that order exactly. Because
+events are data, the pending list itself is a checkpointable state:
+:meth:`EventLoop.events` is what a FlexMend checkpoint reads. All
 FlexNet experiments execute inside one :class:`EventLoop` — packet
 arrivals, reconfiguration steps, controller decisions, and attack
 ramps are all just scheduled callbacks.
@@ -27,39 +31,11 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 
-
-@dataclass
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventHandle:
-    """Returned by :meth:`EventLoop.schedule`; allows cancellation."""
-
-    def __init__(self, event: _Event):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def sequence(self) -> int:
-        """The loop's insertion counter for this event — the tie-break
-        half of the ``(time, seq)`` ordering contract. FlexMend
-        checkpoints record it so re-scheduled events preserve their
-        original same-time ordering after a restore."""
-        return self._event.sequence
+#: One pending event: ``(time, seq, callback, args)``.
+Event = tuple[float, int, Callable[..., None], tuple]
 
 
 class EventLoop:
@@ -70,33 +46,29 @@ class EventLoop:
     """
 
     def __init__(self):
-        #: heap of ``(time, seq, event)`` — the ordering key is spelled
-        #: out rather than derived from dataclass comparison so the
-        #: tie-break rule is part of the API, not an implementation
-        #: accident.
-        self._heap: list[tuple[float, int, _Event]] = []
+        #: heap of ``(time, seq, callback, args)`` — the ordering key is
+        #: spelled out as the tuple's leading pair so the tie-break rule
+        #: is part of the API, not an implementation accident.
+        self._heap: list[Event] = []
         self._sequence = 0
         self._now = 0.0
-        self._running = False
 
     @property
     def now(self) -> float:
         return self._now
 
-    def _push(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        event = _Event(time=time, sequence=self._sequence, callback=callback)
+    def _push(self, time: float, callback: Callable[..., None], args: tuple) -> None:
+        heapq.heappush(self._heap, (time, self._sequence, callback, args))
         self._sequence += 1
-        heapq.heappush(self._heap, (event.time, event.sequence, event))
-        return EventHandle(event)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def schedule(self, delay: float, callback: Callable[..., None], *args) -> None:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self._push(self._now + delay, callback)
+        self._push(self._now + delay, callback, args)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at an absolute virtual time.
+    def schedule_at(self, time: float, callback: Callable[..., None], *args) -> None:
+        """Schedule ``callback(*args)`` at an absolute virtual time.
 
         The given timestamp is stored exactly (no relative-delay round
         trip), so cross-loop handoffs that carry absolute times stay
@@ -106,7 +78,7 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {time} s, before current time {self._now} s"
             )
-        return self._push(time, callback)
+        self._push(time, callback, args)
 
     def run_until(self, end_time: float) -> None:
         """Process events with time <= ``end_time``; advance the clock."""
@@ -114,33 +86,25 @@ class EventLoop:
             raise SimulationError(
                 f"run_until({end_time}) is before current time {self._now}"
             )
-        self._running = True
-        try:
-            while self._heap and self._heap[0][0] <= end_time:
-                _, _, event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                event.callback()
-        finally:
-            self._running = False
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            self._now, _, callback, args = heapq.heappop(heap)
+            callback(*args)
         self._now = end_time
 
     def run(self) -> None:
         """Drain every pending event."""
-        self._running = True
-        try:
-            while self._heap:
-                _, _, event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self._now = event.time
-                event.callback()
-        finally:
-            self._running = False
+        heap = self._heap
+        while heap:
+            self._now, _, callback, args = heapq.heappop(heap)
+            callback(*args)
 
     def pending(self) -> int:
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        return len(self._heap)
+
+    def events(self) -> list[Event]:
+        """The pending events in canonical ``(time, seq)`` order."""
+        return sorted(self._heap)
 
     def restore_clock(self, now: float) -> None:
         """Reset the clock to an absolute time on an *empty* loop.

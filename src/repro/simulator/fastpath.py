@@ -1076,6 +1076,51 @@ class DifferentialReport:
     def ok(self) -> bool:
         return not self.divergences
 
+    def compare_packet(self, index: int, left, right, ref_result, result) -> None:
+        """Record every per-packet observable that differs between the
+        interpreter's run (``left``/``ref_result``) and the candidate's."""
+        self.packets += 1
+        checks = (
+            ("verdict", left.verdict, right.verdict),
+            ("fields", left.fields, right.fields),
+            ("meta", left.meta, right.meta),
+            ("digests", left.digests, right.digests),
+            ("ops", ref_result.ops, result.ops),
+            ("recirculations", ref_result.recirculations, result.recirculations),
+            ("version", ref_result.version, result.version),
+        )
+        for kind, expected, actual in checks:
+            if expected != actual:
+                self.divergences.append(
+                    Divergence(index, kind, copy.deepcopy(expected), copy.deepcopy(actual))
+                )
+
+    def compare_state(self, reference, candidate) -> None:
+        """Record end-of-run differences in map contents and in table
+        hit and miss counters between two program instances."""
+        for map_name in reference.maps.names():
+            ref_state = dict(reference.maps.state(map_name).items())
+            state = dict(candidate.maps.state(map_name).items())
+            if ref_state != state:
+                self.divergences.append(Divergence(-1, f"map:{map_name}", ref_state, state))
+        for table_name, ref_rules in reference.rules.items():
+            rules = candidate.rules[table_name]
+            if ref_rules.hit_counts != rules.hit_counts:
+                self.divergences.append(
+                    Divergence(
+                        -1,
+                        f"hit_counts:{table_name}",
+                        list(ref_rules.hit_counts),
+                        list(rules.hit_counts),
+                    )
+                )
+            if ref_rules.miss_count != rules.miss_count:
+                self.divergences.append(
+                    Divergence(
+                        -1, f"miss_count:{table_name}", ref_rules.miss_count, rules.miss_count
+                    )
+                )
+
 
 def seeded_corpus(count: int, seed: int = 2024) -> list[Packet]:
     """A deterministic packet corpus exercising header visibility, field
@@ -1182,44 +1227,6 @@ def differential_check(
         now = index * now_step
         ref_result = reference.process(left, now)
         fast_result = fast.process(right, now)
-        report.packets += 1
-        checks = (
-            ("verdict", left.verdict, right.verdict),
-            ("fields", left.fields, right.fields),
-            ("meta", left.meta, right.meta),
-            ("digests", left.digests, right.digests),
-            ("ops", ref_result.ops, fast_result.ops),
-            ("recirculations", ref_result.recirculations, fast_result.recirculations),
-            ("version", ref_result.version, fast_result.version),
-        )
-        for kind, expected, actual in checks:
-            if expected != actual:
-                report.divergences.append(
-                    Divergence(index, kind, copy.deepcopy(expected), copy.deepcopy(actual))
-                )
-
-    for map_name in reference.maps.names():
-        ref_state = dict(reference.maps.state(map_name).items())
-        fast_state = dict(fast.maps.state(map_name).items())
-        if ref_state != fast_state:
-            report.divergences.append(
-                Divergence(-1, f"map:{map_name}", ref_state, fast_state)
-            )
-    for table_name, ref_rules in reference.rules.items():
-        fast_rules = fast.rules[table_name]
-        if ref_rules.hit_counts != fast_rules.hit_counts:
-            report.divergences.append(
-                Divergence(
-                    -1,
-                    f"hit_counts:{table_name}",
-                    list(ref_rules.hit_counts),
-                    list(fast_rules.hit_counts),
-                )
-            )
-        if ref_rules.miss_count != fast_rules.miss_count:
-            report.divergences.append(
-                Divergence(
-                    -1, f"miss_count:{table_name}", ref_rules.miss_count, fast_rules.miss_count
-                )
-            )
+        report.compare_packet(index, left, right, ref_result, fast_result)
+    report.compare_state(reference, fast)
     return report

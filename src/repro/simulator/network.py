@@ -52,6 +52,11 @@ class Network:
     exact float the single-process engine would have scheduled
     (``now + (processing_s + link_latency)``), which is what makes
     sharded runs bit-identical to unsharded ones.
+
+    Each hop is one plain-data event on the loop, ``_arrive(packet,
+    hops, index, metrics, on_done)`` at the arrival time, so the loop's
+    pending list *is* the set of in-flight packets:
+    :meth:`inflight_arrivals` reads it back for FlexMend checkpoints.
     """
 
     def __init__(
@@ -59,7 +64,6 @@ class Network:
         loop: EventLoop | None = None,
         owned: set[str] | None = None,
         on_handoff: Callable[[Packet, list[str], int, float], None] | None = None,
-        track_inflight: bool = False,
     ):
         self.loop = loop or EventLoop()
         self._nodes: dict[str, PacketProcessor] = {}
@@ -67,13 +71,6 @@ class Network:
         self._paths: dict[str, list[str]] = {}
         self._owned = set(owned) if owned is not None else None
         self._on_handoff = on_handoff
-        #: FlexMend: every event this network schedules is a packet
-        #: arrival, fully described by plain data. With tracking on,
-        #: in-flight arrivals are registered until they execute, so a
-        #: shard checkpoint can serialize the event loop's contents as
-        #: ``(time, seq, packet, hops, index)`` tuples.
-        self._inflight: dict[int, tuple] | None = {} if track_inflight else None
-        self._inflight_token = 0
 
     def adopt_topology(self, other: "Network") -> None:
         """Copy link latencies and named paths from another network
@@ -96,10 +93,6 @@ class Network:
         if name not in self._nodes:
             raise SimulationError(f"unknown node {name!r}")
         return self._nodes[name]
-
-    @property
-    def node_names(self) -> list[str]:
-        return sorted(self._nodes)
 
     def add_link(self, source: str, destination: str, latency_s: float = 1e-6) -> None:
         self.node(source)
@@ -170,30 +163,24 @@ class Network:
         metrics: RunMetrics | None,
         on_done: Callable[[Packet], None] | None,
     ) -> None:
-        if self._inflight is None:
-            self.loop.schedule_at(
-                at_time, lambda: self._arrive(packet, hops, index, metrics, on_done)
-            )
-            return
-        self._inflight_token += 1
-        token = self._inflight_token
-
-        def run() -> None:
-            del self._inflight[token]
-            self._arrive(packet, hops, index, metrics, on_done)
-
-        handle = self.loop.schedule_at(at_time, run)
-        self._inflight[token] = (at_time, handle.sequence, packet, hops, index)
+        # ``self._arrive`` is looked up per call, not cached, so a class
+        # patch of ``Network._arrive`` (a tracer's span) is seen.
+        self.loop.schedule_at(at_time, self._arrive, packet, hops, index, metrics, on_done)
 
     def inflight_arrivals(self) -> list[tuple]:
         """Pending arrivals as plain ``(time, seq, packet, hops, index)``
-        data, in the loop's canonical execution order. Only meaningful
-        with ``track_inflight=True`` (FlexMend checkpointing)."""
-        if self._inflight is None:
-            raise SimulationError(
-                "inflight_arrivals requires track_inflight=True"
-            )
-        return sorted(self._inflight.values(), key=lambda item: (item[0], item[1]))
+        data, in the loop's canonical execution order (FlexMend
+        checkpoints). Every event on a network's loop must be one of its
+        arrivals; any other event is refused."""
+        arrivals = []
+        arrive = self._arrive
+        for at_time, seq, callback, args in self.loop.events():
+            if callback != arrive:
+                raise SimulationError(
+                    f"event at {at_time} s is not an arrival on this network"
+                )
+            arrivals.append((at_time, seq, *args[:3]))
+        return arrivals
 
     def _arrive(
         self,

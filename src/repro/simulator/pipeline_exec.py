@@ -54,7 +54,7 @@ class ProgramInstance:
         #: FlexPath: when enabled, packets execute through the compiled
         #: closure tree instead of the tree-walking interpreter. The
         #: compiled artifact is built lazily on the first packet (after
-        #: any state sharing/adoption has re-bound rules and maps).
+        #: the device's state sharing has re-bound rules and maps).
         self.fastpath_enabled = False
         self._compiled = None
         #: FlexBatch: the lazily built batched backend (see
@@ -68,19 +68,6 @@ class ProgramInstance:
     def hosts(self, element: str) -> bool:
         return self.hosted_elements is None or element in self.hosted_elements
 
-    def adopt_state(self, previous: "ProgramInstance") -> None:
-        """Carry map state and table rules over from the prior version
-        (same-name, same-shape elements keep their contents across a
-        hitless reconfiguration). Runtime artifacts configured through
-        P4Runtime — the table meter, per-rule hit counters, and the miss
-        count — travel with the rules, so e.g. an active rate limiter is
-        not silently disabled by an unrelated delta."""
-        self.maps.adopt(previous.maps)
-        for name, old_rules in previous.rules.items():
-            if name not in self.rules:
-                continue
-            self.rules[name].adopt_from(old_rules)
-
     # -- execution ------------------------------------------------------------
 
     def enable_fastpath(self, enabled: bool = True) -> None:
@@ -91,7 +78,7 @@ class ProgramInstance:
 
     def batch_executor(self):
         """The lazily built FlexBatch executor for this instance (built
-        on first use, after state sharing/adoption, like the compile)."""
+        on first use, after state sharing, like the compile)."""
         if self._batch_executor is None:
             from repro.simulator.batch import BatchExecutor
 

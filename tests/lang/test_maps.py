@@ -163,25 +163,3 @@ class TestMapSet:
         maps.state("b").put((1,), 1)
         durable = maps.snapshot_all(durable_only=True)
         assert [s.map_name for s in durable] == ["a"]
-
-    def test_adopt_carries_matching_state(self):
-        old = self.make_set()
-        old.state("a").put((1,), 42)
-        new = self.make_set()
-        new.adopt(old)
-        assert new.state("a").get((1,)) == 42
-
-    def test_adopt_skips_shape_mismatch(self):
-        old = self.make_set()
-        old.state("a").put((1,), 42)
-        new_defs = (
-            MapDef(
-                name="a",
-                key_fields=(b.field("h.x"), b.field("h.y")),  # different keys
-                value_type=BitsType(64),
-                max_entries=8,
-            ),
-        )
-        new = MapSet(new_defs)
-        new.adopt(old)
-        assert len(new.state("a")) == 0

@@ -16,6 +16,8 @@ delta add_guard {
 }
 """
 
+ADD_PROBE = "delta add_probe { add map probe { key: ipv4.src; value: u32; max_entries: 16; } }"
+
 
 def make_device(base_program, target=None):
     device = DeviceRuntime("d", target or drmt_switch("d"))
@@ -113,15 +115,24 @@ class TestHitlessUpdate:
         assert packet.versions_seen["d"] == base_program.version
 
     def test_map_state_shared_across_versions(self, base_program):
-        device = make_device(base_program)
+        # ``probe`` changes its key shape between the versions, so only
+        # ``flow_counts`` may be shared; the new ``probe`` starts empty.
+        old_program, _ = apply_delta(base_program, parse_delta(ADD_PROBE))
+        device = make_device(old_program)
         device.process(make_packet(7, 8), 0.0)
-        new_program = self.new_version(base_program)
+        old_probe = device.active_instance.maps.state("probe")
+        old_probe.put((7,), 1)
+        reshape = "delta reshape { remove map probe; add map probe { key: ipv4.src, ipv4.dst; value: u32; max_entries: 16; } }"
+        new_program, _ = apply_delta(self.new_version(old_program), parse_delta(reshape))
         device.begin_hitless_update(new_program, 0.5, 0.3)
         packet = make_packet(7, 8)
         device.process(packet, 1.0)  # after window: new version
         instance = device.active_instance
         assert instance.program.version == new_program.version
         assert instance.maps.state("flow_counts").get((7, 8)) == 2
+        assert instance.maps.state("probe") is not old_probe
+        assert len(instance.maps.state("probe")) == 0
+        assert old_probe.get((7,)) == 1
 
     def test_table_rules_shared_across_versions(self, base_program):
         from repro.lang.ir import ActionCall

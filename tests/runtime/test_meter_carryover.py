@@ -4,8 +4,9 @@ A rate limiter is pure element-level state: the policing rule, the
 table meter, and the per-rule hit counters are all configured through
 P4Runtime, not the program text. An *unrelated* structural delta (e.g.
 injecting the firewall) must not silently disable it — the bug this
-pins down was ``adopt_state``/``adopt_from`` dropping meters and
-counters, so a policed customer went unpoliced after any reconfig.
+pins down was the state carry-over (``TableRules.adopt_from``) dropping
+meters and counters, so a policed customer went unpoliced after any
+reconfig.
 """
 
 
@@ -18,7 +19,6 @@ from repro.lang import builder as b
 from repro.runtime.device import DeviceRuntime
 from repro.simulator.meters import Meter, MeterConfig
 from repro.simulator.packet import Verdict, make_packet
-from repro.simulator.pipeline_exec import ProgramInstance
 from repro.simulator.tables import Rule, TableRules, exact
 from repro.targets import drmt_switch
 
@@ -131,23 +131,3 @@ class TestAdoptFrom:
         new = TableRules(mismatched)
         new.adopt_from(old)
         assert len(new) == 0
-
-
-class TestAdoptState:
-    def test_instance_adopt_carries_runtime_artifacts(self, base_program):
-        program, _ = apply_delta(base_program, rate_limit_delta())
-        old = ProgramInstance(program)
-        old.rules["rl_classify"].insert(
-            Rule(matches=(exact(POLICED),), action=ActionCall("rl_mark"))
-        )
-        old.rules["rl_classify"].lookup((POLICED,))
-        old.rules["rl_classify"].meter = Meter(
-            MeterConfig(rate_pps=10.0, burst_packets=5.0)
-        )
-        old.maps.state("flow_counts").put((1, 2), 7)
-
-        new = ProgramInstance(program)
-        new.adopt_state(old)
-        assert new.rules["rl_classify"].hit_counts == [1]
-        assert new.rules["rl_classify"].meter is old.rules["rl_classify"].meter
-        assert new.maps.state("flow_counts").get((1, 2)) == 7

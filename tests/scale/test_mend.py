@@ -36,7 +36,7 @@ from repro.scale.mend import (
     restore_engine,
     run_scale_chaos,
 )
-from repro.scale.shard import ShardEngine, run_inline
+from repro.scale.shard import ShardEngine, run_inline, step_inline
 from repro.scale.workload import e20_workload, pod_fabric
 from repro.simulator.packet import reset_packet_ids
 
@@ -205,25 +205,27 @@ class TestMendTransport:
 # -- shard checkpoints -------------------------------------------------------
 
 
-def _single_shard_engine(inject: bool = True) -> ShardEngine:
-    """A 1-shard engine over a fresh 2-pod fabric (tracked in-flight
-    arrivals, as the process workers run when checkpointing is armed)."""
-    net, workload = _arm(packets=80)
-    plan = plan_shards(net.controller, 1, seed=11)
+def _shard_engines(shards: int, packets: int, inject: bool = True) -> dict[int, ShardEngine]:
+    """Every engine of a fresh 2-pod fabric split into ``shards``."""
+    net, workload = _arm(packets=packets)
+    plan = plan_shards(net.controller, shards, seed=11)
     end_time = max(timed.time for timed in workload) + DRAIN_S
-    engine = ShardEngine(
-        0,
-        plan,
-        net.controller.devices,
-        end_time,
-        topology=net.controller.network,
-        track_inflight=True,
-    )
+    engines = {
+        shard: ShardEngine(
+            shard, plan, net.controller.devices, end_time, topology=net.controller.network
+        )
+        for shard in plan.populated_shards
+    }
+    assert len(engines) == shards
     if inject:
         hops = net.controller.network.path("datapath")
         for timed in workload:
-            engine.inject(timed.packet, hops, timed.time)
-    return engine
+            engines[plan.shard_of(hops[0])].inject(timed.packet, hops, timed.time)
+    return engines
+
+
+def _single_shard_engine(inject: bool = True) -> ShardEngine:
+    return _shard_engines(1, 80, inject)[0]
 
 
 class TestEngineCheckpoint:
@@ -248,6 +250,42 @@ class TestEngineCheckpoint:
         assert len(ckpt.inflight) == 80
         times = [item[0] for item in ckpt.inflight]
         assert times == sorted(times)
+
+    def test_mid_run_two_shard_restore_is_bit_identical(self):
+        def outcome(engines: dict[int, ShardEngine]) -> list:
+            return [
+                (
+                    _canon(result.metrics.to_dict()),
+                    result.digest_count,
+                    result.windows,
+                    result.handoffs_in,
+                    result.handoffs_out,
+                    result.registry.to_prometheus(),
+                )
+                for result in (engines[shard].result() for shard in sorted(engines))
+            ]
+
+        straight = _shard_engines(2, 120)
+        run_inline(straight)
+        expected = outcome(straight)
+
+        # Cut a second run after a few windows, while packets are in
+        # flight past their first hop and handoffs wait to be integrated.
+        cut = _shard_engines(2, 120)
+        for _ in range(4):
+            step_inline(cut)
+        arrivals = [
+            item for engine in cut.values() for item in engine.network.inflight_arrivals()
+        ]
+        assert any(index > 0 for *_, index in arrivals)
+        assert any(engine._pending for engine in cut.values())  # noqa: SLF001
+        ckpts = {shard: checkpoint_engine(engine) for shard, engine in cut.items()}
+
+        restored = _shard_engines(2, 120, inject=False)
+        for shard, engine in restored.items():
+            restore_engine(engine, ckpts[shard])
+        run_inline(restored)
+        assert outcome(restored) == expected
 
     def test_restore_refuses_wrong_shard(self):
         ckpt = checkpoint_engine(_single_shard_engine())

@@ -36,16 +36,25 @@ class TestScheduling:
         loop.run()
         assert order == ["t1-first", "t1-second", "t2-first", "t2-second"]
 
-    def test_tie_break_survives_schedule_at_and_cancellation(self):
+    def test_tie_break_survives_schedule_at(self):
+        # schedule() and schedule_at() share one seq counter, so a
+        # same-time tie is decided by insertion order across both.
         loop = EventLoop()
+        loop.run_until(1.0)
         order = []
-        loop.schedule_at(3.0, lambda: order.append("a"))
-        doomed = loop.schedule_at(3.0, lambda: order.append("cancelled"))
-        loop.schedule_at(3.0, lambda: order.append("b"))
-        doomed.cancel()
-        loop.schedule_at(3.0, lambda: order.append("c"))
+        loop.schedule_at(3.0, order.append, "a")
+        loop.schedule(2.0, order.append, "b")
+        loop.schedule_at(3.0, order.append, "c")
         loop.run()
         assert order == ["a", "b", "c"]
+
+    def test_schedule_at_calls_callback_with_args(self):
+        loop = EventLoop()
+        seen = []
+        loop.schedule_at(2.0, lambda *args: seen.append((loop.now, args)), "x", 7)
+        loop.schedule(1.0, seen.append, "single")
+        loop.run()
+        assert seen == ["single", (2.0, ("x", 7))]
 
     def test_now_advances_during_run(self):
         loop = EventLoop()
@@ -106,19 +115,34 @@ class TestRunUntil:
             loop.run_until(1.0)
 
 
-class TestCancellation:
-    def test_cancelled_event_skipped(self):
-        loop = EventLoop()
-        seen = []
-        handle = loop.schedule(1.0, lambda: seen.append(1))
-        handle.cancel()
-        loop.run()
-        assert seen == []
-
+class TestPendingEvents:
     def test_pending_count(self):
         loop = EventLoop()
-        handle = loop.schedule(1.0, lambda: None)
+        loop.schedule(1.0, lambda: None)
         loop.schedule(2.0, lambda: None)
         assert loop.pending() == 2
-        handle.cancel()
+        loop.run_until(1.5)
         assert loop.pending() == 1
+        loop.run()
+        assert loop.pending() == 0
+
+    def test_events_are_plain_data_in_time_then_seq_order(self):
+        loop = EventLoop()
+        loop.schedule_at(2.0, print, "late")
+        loop.schedule_at(1.0, print, "early-first")
+        loop.schedule_at(1.0, len, "early-second")
+        assert loop.events() == [
+            (1.0, 1, print, ("early-first",)),
+            (1.0, 2, len, ("early-second",)),
+            (2.0, 0, print, ("late",)),
+        ]
+        # A view, not the heap: reading it schedules and runs nothing.
+        assert loop.pending() == 3
+
+    def test_restore_clock_refuses_a_loop_with_events(self):
+        loop = EventLoop()
+        loop.restore_clock(4.0)
+        assert loop.now == 4.0
+        loop.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="empty loop"):
+            loop.restore_clock(9.0)

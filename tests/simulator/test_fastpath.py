@@ -369,10 +369,18 @@ class TestFlowCache:
 
     def test_mid_run_reconfig_no_stale_verdicts(self):
         """One cache across a program change: the new version's token
-        differs, so the old version's outcomes are dropped, never served."""
+        differs, so the old version's outcomes are dropped, never served.
+        Both versions come from a device's hitless update, so they share
+        state the way a live reconfiguration does."""
         program = base_infrastructure()
-        instance, cache = cached_instance(program)
-        reference = reference_instance(program)
+        hosted = stateless_slice(program)
+        device = DeviceRuntime("d", drmt_switch("d"))
+        device.install(program, set(hosted))
+        oracle = DeviceRuntime("o", drmt_switch("o"))
+        oracle.enable_fastpath(False)
+        oracle.install(program, set(hosted))
+        instance, reference = device.active_instance, oracle.active_instance
+        cache = fastpath.FlowCache(capacity=64)
 
         flows = [make_packet(i % 6, 40 + i % 6) for i in range(24)]
         for i, packet in enumerate(flows):
@@ -382,10 +390,9 @@ class TestFlowCache:
 
         patched, _ = apply_delta(program, firewall_delta())
         new_hosted = stateless_slice(patched)
-        successor, _ = cached_instance(patched, new_hosted)
-        successor.adopt_state(instance)
-        new_reference = reference_instance(patched, new_hosted)
-        new_reference.adopt_state(reference)
+        successor = device.begin_hitless_update(patched, 1.0, 0.05, set(new_hosted))
+        new_reference = oracle.begin_hitless_update(patched, 1.0, 0.05, set(new_hosted))
+        assert successor.fastpath_enabled and not new_reference.fastpath_enabled
 
         for i, packet in enumerate(flows * 2):
             now = 1.05 + i * 0.01

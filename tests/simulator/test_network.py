@@ -130,6 +130,41 @@ class TestTransport:
             net.inject(make_packet(1, 2), [], 0.0)
 
 
+class TestInflightArrivals:
+    def test_plain_network_reports_pending_hops(self):
+        net, *_ = two_hop_network()
+        first, second = make_packet(1, 2), make_packet(3, 4)
+        net.inject(second, "p", 2e-3)
+        net.inject(first, "p", 0.0)
+        assert net.inflight_arrivals() == [
+            (0.0, 1, first, ["a", "b"], 0),
+            (2e-3, 0, second, ["a", "b"], 0),
+        ]
+        # After hop "a" the first packet is in flight toward "b".
+        net.loop.run_until(1e-4)
+        (at_time, _, packet, hops, index), _ = net.inflight_arrivals()
+        assert (packet, hops, index) == (first, ["a", "b"], 1)
+        assert at_time == pytest.approx(1e-6 + 1e-3)
+        net.loop.run()
+        assert net.inflight_arrivals() == []
+
+    def test_refuses_an_event_that_is_not_an_arrival(self):
+        net, *_ = two_hop_network()
+        net.inject(make_packet(1, 2), "p", 0.0)
+        net.loop.schedule_at(0.25, lambda: None)
+        with pytest.raises(SimulationError, match="0.25 s"):
+            net.inflight_arrivals()
+
+    def test_refuses_another_networks_arrival_on_a_shared_loop(self):
+        net, *_ = two_hop_network()
+        other = Network(net.loop)
+        other.add_node(FakeNode("c"))
+        other.inject(make_packet(1, 2), ["c"], 0.5)
+        assert len(other.inflight_arrivals()) == 1
+        with pytest.raises(SimulationError, match="0.5 s"):
+            net.inflight_arrivals()
+
+
 class TestMetrics:
     def test_loss_and_delivery_rates(self):
         net, a, b_ = two_hop_network()
